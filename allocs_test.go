@@ -117,3 +117,40 @@ func TestViewAccessSteadyStateAllocs(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestTracedFuncRunSteadyStateAllocs: a traced Func.Run — events captured
+// per bank into the tracer's ShardSet and replayed from the compiled train,
+// the path every WithTelemetryAddr System takes — allocates nothing per row
+// once warm: a 64-row run allocates exactly as often as an 8-row run, so
+// only the per-call span bookkeeping remains.
+func TestTracedFuncRunSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates; zero-allocation gates run without -race")
+	}
+	sys, err := New(WithTracer(NewTracer(nopTraceSink{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := sys.Compile("mix", Or(And(Var(0), Var(1)), Xor(Var(1), Var(2))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocsAt := func(rows int) float64 {
+		bits := int64(rows * sys.RowSizeBits())
+		d := sys.MustAlloc(bits)
+		srcs := []*Bitvector{sys.MustAlloc(bits), sys.MustAlloc(bits), sys.MustAlloc(bits)}
+		run := func() {
+			if err := f.Run(d, srcs...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			run() // warm the shard buffers, pools and interned strings
+		}
+		return testing.AllocsPerRun(100, run)
+	}
+	small, large := allocsAt(8), allocsAt(64)
+	if perRow := (large - small) / (64 - 8); perRow != 0 {
+		t.Errorf("traced Func.Run: %v allocs at 8 rows, %v at 64 rows (%.3f/row), want 0/row", small, large, perRow)
+	}
+}

@@ -298,14 +298,16 @@ func (b *Batch) Popcount(v *Bitvector) (*PopcountResult, error) {
 // Run executes the recorded program.
 //
 // The run has two phases.  The functional phase executes every operation's
-// command trains against the simulated device.  When the batch is untraced,
-// fault-free, and non-ECC, the whole program collapses into one fused
-// word-parallel pass per bank (executeFused): the program is flattened into
-// row-level items, each bank's items run on one goroutine in recording order,
-// and consecutive same-opcode bulk items evaluate in a single word-parallel
-// kernel sweep.  Otherwise independent operations fan out across a worker
-// pool (one lock per bank keeps trains on a bank atomic).  Both routes are
-// bit- and Stats-identical.  The timing phase then replays the program in deterministic
+// command trains against the simulated device.  When the batch is fault-free,
+// non-ECC, and its copies are bank-local, the whole program collapses into
+// one fused word-parallel pass per bank (executeFused): the program is
+// flattened into row-level items, each bank's items run on one goroutine in
+// recording order, and consecutive same-opcode bulk items evaluate in a
+// single word-parallel kernel sweep.  A traced batch takes the same route;
+// its command events come out in recording order, byte-identical to a serial
+// run.  Otherwise independent operations fan out across a worker pool (one
+// lock per bank keeps trains on a bank atomic).  All routes are bit- and
+// Stats-identical.  The timing phase then replays the program in deterministic
 // order against the per-bank timelines: an operation starts when its
 // dependencies finish, and each of its row trains occupies its bank from the
 // bank's own earliest free moment — so independent operations on disjoint
@@ -398,19 +400,20 @@ func (b *Batch) programOps() []program.Op {
 	return ops
 }
 
-// execute runs the functional phase.  Untraced, fault-free, non-ECC batches
-// take the fused whole-program path (executeFused): the entire program
-// collapses into one word-parallel pass per bank, instead of one dispatch per
-// operation.  Otherwise this is a dataflow dispatch over the dependency graph
-// with at most b.Workers concurrent executors.  Each op records its per-row
-// command-train latencies for the timing phase.  Bank atomicity comes from
-// the shared execution engine's per-bank shards — the same locks the
-// direct-op parallel path uses.
+// execute runs the functional phase.  Fault-free, non-ECC batches with
+// bank-local copies take the fused whole-program path (executeFused): the
+// entire program collapses into one word-parallel pass per bank, instead of
+// one dispatch per operation; tracing does not force them off it.  Otherwise
+// this is a dataflow dispatch over the dependency graph with at most
+// b.Workers concurrent executors.  Each op records its per-row command-train
+// latencies for the timing phase.  Bank atomicity comes from the shared
+// execution engine's per-bank shards — the same locks the direct-op parallel
+// path uses.
 func (b *Batch) execute(g *program.Graph) error {
 	if b.fusedEligible() {
 		return b.executeFused()
 	}
-	if b.sys.fm != nil {
+	if b.sys.fm != nil || b.sys.serialOnly() {
 		// An armed fault model keys its RNG streams per (bank, subarray)
 		// and needs a deterministic train order within each pair.  Direct
 		// ops get that from the engine's ascending-row dispatch; batch
@@ -419,6 +422,9 @@ func (b *Batch) execute(g *program.Graph) error {
 		// phase runs in recording order — a valid topological order,
 		// since dependencies only point backwards.  The timing phase is
 		// unaffected: simulated-time overlap is computed identically.
+		// The forceSerial test hook takes the same route: it is the
+		// serial reference the fused path's results and traces are
+		// compared against.
 		for i := range b.ops {
 			if err := b.execOp(i); err != nil {
 				return err
@@ -493,15 +499,16 @@ type batchItem struct {
 var rowBufPool = sync.Pool{New: func() any { return new([]uint64) }}
 
 // fusedEligible reports whether the whole program can run as one fused
-// per-bank pass.  Tracing needs per-command events, ECC needs the
-// execute-verify-retry wrapper, and an armed fault model needs the stepwise
-// per-train RNG draws — all of which the fused evaluation elides — so any of
-// them forces the general dataflow path.  Cross-bank copy rows (PSM copies
-// through the channel) touch two banks per train and would break the
-// one-goroutine-per-bank execution invariant, so they disqualify too.
+// per-bank pass.  ECC needs the execute-verify-retry wrapper and an armed
+// fault model needs the stepwise per-train RNG draws — both of which the
+// fused evaluation elides — so either forces a fallback path.  Tracing does
+// not: executeFused captures each bank stream's command events into an
+// obs.ShardSet and merges them into recording order.  Cross-bank copy rows
+// (PSM copies through the channel) touch two banks per train and would break
+// the one-goroutine-per-bank execution invariant, so they disqualify too.
 func (b *Batch) fusedEligible() bool {
 	s := b.sys
-	if s.cfg.Tracer.Enabled() || s.fm != nil || s.cfg.Reliability.ECC {
+	if s.fm != nil || s.cfg.Reliability.ECC || s.serialOnly() {
 		return false
 	}
 	for _, op := range b.ops {
@@ -528,6 +535,12 @@ func (b *Batch) fusedEligible() bool {
 // becomes a handful of fused passes per bank instead of one dispatch per op.
 // Per-row latencies land in rowLats exactly as the stepwise phase records
 // them, so the timing phase (schedule) and all Stats are unchanged.
+//
+// When tracing is on, each bank's stream captures its command events into
+// its shard of an obs.ShardSet, keyed by the item's recording-order index
+// (SetRow).  Indices are unique across banks and ascending within each
+// stream, so MergeAndEmit reproduces exactly the event order of a serial
+// recording-order run.
 func (b *Batch) executeFused() error {
 	s := b.sys
 	n := 0
@@ -566,9 +579,11 @@ func (b *Batch) executeFused() error {
 		return nil
 	}
 	// Run holds execMu exclusively and each bank's stream runs on exactly one
-	// goroutine, so no shard locks are needed.  Workers caps host
+	// goroutine, so no shard locks are needed — that exclusivity is also
+	// what the ShardSet contract asks of them.  Workers caps host
 	// concurrency; errors merge lowest-item-first so the reported failure is
 	// deterministic regardless of interleaving.
+	ss := s.cfg.Tracer.BeginShards(plan.Banks())
 	workers := b.Workers
 	if workers <= 0 {
 		workers = s.eng.Workers()
@@ -579,7 +594,7 @@ func (b *Batch) executeFused() error {
 	errItems := make([]int, len(groups))
 	errs := make([]error, len(groups))
 	runGroup := func(gi int) {
-		errItems[gi], errs[gi] = b.runFusedGroup(groups[gi].Rows, items)
+		errItems[gi], errs[gi] = b.runFusedGroup(groups[gi].Bank, groups[gi].Rows, items, ss)
 	}
 	if workers <= 1 {
 		for gi := range groups {
@@ -607,6 +622,7 @@ func (b *Batch) executeFused() error {
 		drain()
 		wg.Wait()
 	}
+	ss.MergeAndEmit()
 	var firstErr error
 	firstItem := -1
 	for gi, err := range errs {
@@ -619,10 +635,11 @@ func (b *Batch) executeFused() error {
 
 // runFusedGroup executes one bank's slice of the flattened program in
 // recording order.  idx holds indices into items (ascending, i.e. recording
-// order).  On failure it returns the failing item's global index and its
-// error (formatted exactly as the stepwise phase formats it); on success
+// order); each item's events are captured under its index as merge key when
+// ss is non-nil.  On failure it returns the failing item's global index and
+// its error (formatted exactly as the stepwise phase formats it); on success
 // (-1, nil).
-func (b *Batch) runFusedGroup(idx []int, items []batchItem) (int, error) {
+func (b *Batch) runFusedGroup(bank int, idx []int, items []batchItem, ss *obs.ShardSet) (int, error) {
 	s := b.sys
 	var rowBuf *[]uint64 // lazily claimed popcount arena
 	defer func() {
@@ -646,11 +663,12 @@ func (b *Batch) runFusedGroup(idx []int, items []batchItem) (int, error) {
 				}
 				j++
 			}
-			if item, err := b.runFusedBulkRun(idx[k:j], items); err != nil {
+			if item, err := b.runFusedBulkRun(bank, idx[k:j], items, ss); err != nil {
 				return item, err
 			}
 			k = j
 		case batchCopy:
+			ss.SetRow(bank, idx[k])
 			_, lat, err := s.rc.Copy(op.a.rows[it.row], op.dst.rows[it.row])
 			if err != nil {
 				return idx[k], fmt.Errorf("ambit: batch Copy row %d: %w", it.row, err)
@@ -658,6 +676,7 @@ func (b *Batch) runFusedGroup(idx []int, items []batchItem) (int, error) {
 			op.rowLats[it.row] = lat
 			k++
 		case batchFill:
+			ss.SetRow(bank, idx[k])
 			addr := op.dst.rows[it.row]
 			var lat float64
 			var err error
@@ -680,6 +699,7 @@ func (b *Batch) runFusedGroup(idx []int, items []batchItem) (int, error) {
 			}
 			buf = buf[:nOps]
 			da := fillFuncRow(op.fn, op.dsts, op.srcs, int(it.row), buf)
+			ss.SetRow(bank, idx[k])
 			lat, err := s.ctrl.ExecuteTrain(op.fn.c.Train, da.Bank, da.Subarray, buf)
 			*bp = buf[:0]
 			rowAddrPool.Put(bp)
@@ -711,29 +731,34 @@ func (b *Batch) runFusedGroup(idx []int, items []batchItem) (int, error) {
 	return -1, nil
 }
 
-// runFusedBulkRun executes a run of same-opcode bulk items — one fused
-// word-parallel pass over all of their trains, with the stepwise per-row
-// controller call as the exact-semantics fallback when the fused dispatch
-// rejects the run (raised amplifiers, an armed per-subarray injector).
-func (b *Batch) runFusedBulkRun(idx []int, items []batchItem) (int, error) {
+// runFusedBulkRun executes a run of same-opcode bulk items on one bank — one
+// fused word-parallel pass over all of their trains (replaying their events
+// into ss when traced), with the stepwise per-row controller call as the
+// exact-semantics fallback when the fused dispatch rejects the run (raised
+// amplifiers, an armed per-subarray injector).
+func (b *Batch) runFusedBulkRun(bank int, idx []int, items []batchItem, ss *obs.ShardSet) (int, error) {
 	s := b.sys
 	op0 := b.ops[items[idx[0]].op].op
 	unary := op0.Unary()
 	tp := trainPool.Get().(*[]controller.RowTrain)
 	trains := (*tp)[:0]
-	bank := -1
 	for _, ii := range idx {
 		it := items[ii]
 		op := b.ops[it.op]
 		da := op.dst.rows[it.row]
-		bank = da.Bank
 		t := controller.RowTrain{Sub: da.Subarray, DK: da.Row, DI: op.a.rows[it.row].Row}
 		if !unary {
 			t.DJ = op.b.rows[it.row].Row
 		}
 		trains = append(trains, t)
 	}
-	lat, ok := s.ctrl.ExecuteOpRowsFused(op0, bank, trains)
+	var lat float64
+	var ok bool
+	if ss != nil {
+		lat, ok = s.ctrl.ExecuteOpRowsFusedTraced(op0, bank, trains, ss, idx)
+	} else {
+		lat, ok = s.ctrl.ExecuteOpRowsFused(op0, bank, trains)
+	}
 	*tp = trains[:0]
 	trainPool.Put(tp)
 	if ok {
@@ -751,6 +776,7 @@ func (b *Batch) runFusedBulkRun(idx []int, items []batchItem) (int, error) {
 		if !unary {
 			ba = op.b.rows[it.row].Row
 		}
+		ss.SetRow(bank, ii)
 		lat, err := s.ctrl.ExecuteOp(op.op, da.Bank, da.Subarray, da.Row, aa.Row, ba)
 		if err != nil {
 			return ii, fmt.Errorf("ambit: batch %v row %d: %w", op.op, it.row, err)

@@ -1,13 +1,14 @@
 package ambit
 
 // Differential for batch-level fusion: Batch.Run collapses an eligible
-// program (untraced, fault-free, no ECC, bank-local copies) into one fused
-// per-bank pass.  These tests prove that route bit- and Stats-identical to
-// the general dataflow engine by running the same dependency-heavy program
-// — chained bulk ops, a compiled-function call, a copy, a fill, and a
-// popcount — on both: the fused path (plain System) against the stepwise
-// path (tracer armed with a no-op sink, which disqualifies fusion but must
-// not perturb results or statistics).
+// program (fault-free, no ECC, bank-local copies; traced or not) into one
+// fused per-bank pass.  These tests prove that route bit- and
+// Stats-identical to stepwise execution by running the same
+// dependency-heavy program — chained bulk ops, a compiled-function call, a
+// copy, a fill, and a popcount — on both: the fused path (plain and traced
+// Systems) against the stepwise path in recording order (the forceSerial
+// test hook, which disqualifies fusion but must not perturb results or
+// statistics).
 
 import (
 	"math/rand"
@@ -25,8 +26,9 @@ type batchOutcome struct {
 // runFusedBatchWorkload drives one freshly-built System through a program
 // whose every op kind the fused executor handles, with real data
 // dependencies between items in the same bank stream (c feeds c, d feeds
-// d), and returns the complete observable outcome.
-func runFusedBatchWorkload(t *testing.T, workers int, opts ...Option) batchOutcome {
+// d), and returns the complete observable outcome.  serial pins the
+// forceSerial reference path.
+func runFusedBatchWorkload(t *testing.T, workers int, serial bool, opts ...Option) batchOutcome {
 	t.Helper()
 	sys, err := New(opts...)
 	if err != nil {
@@ -35,6 +37,7 @@ func runFusedBatchWorkload(t *testing.T, workers int, opts ...Option) batchOutco
 	if workers > 0 {
 		sys.eng.SetWorkers(workers)
 	}
+	sys.forceSerial = serial
 	rowBits := int64(sys.RowSizeBits())
 	bits := 12 * rowBits // wraps the 8-bank default, so banks carry multi-item streams
 	a, b := sys.MustAlloc(bits), sys.MustAlloc(bits)
@@ -107,24 +110,30 @@ func runFusedBatchWorkload(t *testing.T, workers int, opts ...Option) batchOutco
 	return out
 }
 
-// TestBatchFusionDifferential: the fused per-bank pass must be
-// indistinguishable — contents, popcount, BatchReport, Stats — from the
-// stepwise dataflow engine, which a no-op tracer forces.
+// TestBatchFusionDifferential: the fused per-bank pass, traced or not, must
+// be indistinguishable — contents, popcount, BatchReport, Stats — from the
+// stepwise recording-order engine, which the forceSerial hook forces.
 func TestBatchFusionDifferential(t *testing.T) {
-	want := runFusedBatchWorkload(t, 0, WithTracer(NewTracer(nopTraceSink{}))) // stepwise reference
-	for _, workers := range []int{0, 1, 4} {
-		got := runFusedBatchWorkload(t, workers)
-		if !reflect.DeepEqual(got.data, want.data) {
-			t.Errorf("workers=%d: fused contents diverged from stepwise reference", workers)
-		}
-		if got.pop != want.pop {
-			t.Errorf("workers=%d: fused popcount = %d, stepwise %d", workers, got.pop, want.pop)
-		}
-		if got.report != want.report {
-			t.Errorf("workers=%d: fused report = %+v, stepwise %+v", workers, got.report, want.report)
-		}
-		if !reflect.DeepEqual(got.stats, want.stats) {
-			t.Errorf("workers=%d: fused stats diverged:\n got %+v\nwant %+v", workers, got.stats, want.stats)
+	want := runFusedBatchWorkload(t, 0, true) // stepwise reference
+	for _, traced := range []bool{false, true} {
+		for _, workers := range []int{0, 1, 4} {
+			var opts []Option
+			if traced {
+				opts = append(opts, WithTracer(NewTracer(nopTraceSink{})))
+			}
+			got := runFusedBatchWorkload(t, workers, false, opts...)
+			if !reflect.DeepEqual(got.data, want.data) {
+				t.Errorf("traced=%v workers=%d: fused contents diverged from stepwise reference", traced, workers)
+			}
+			if got.pop != want.pop {
+				t.Errorf("traced=%v workers=%d: fused popcount = %d, stepwise %d", traced, workers, got.pop, want.pop)
+			}
+			if got.report != want.report {
+				t.Errorf("traced=%v workers=%d: fused report = %+v, stepwise %+v", traced, workers, got.report, want.report)
+			}
+			if !reflect.DeepEqual(got.stats, want.stats) {
+				t.Errorf("traced=%v workers=%d: fused stats diverged:\n got %+v\nwant %+v", traced, workers, got.stats, want.stats)
+			}
 		}
 	}
 }
@@ -134,12 +143,12 @@ func TestBatchFusionDifferential(t *testing.T) {
 // and that path must remain serial/parallel deterministic.
 func TestBatchFusionFaultedFallsBack(t *testing.T) {
 	fc := FaultConfig{TRABitRate: 1e-3, TRARowRate: 2e-3, DCCBitRate: 5e-4, RowVariation: 1.3, WeakColumnFraction: 0.05, Seed: 11}
-	want := runFusedBatchWorkload(t, 0, WithFaultModel(fc))
+	want := runFusedBatchWorkload(t, 0, false, WithFaultModel(fc))
 	if want.stats.InjectedFaults == 0 {
 		t.Fatal("workload drew no faults; the fallback differential is vacuous")
 	}
 	for _, workers := range []int{1, 4} {
-		got := runFusedBatchWorkload(t, workers, WithFaultModel(fc))
+		got := runFusedBatchWorkload(t, workers, false, WithFaultModel(fc))
 		if !reflect.DeepEqual(got.data, want.data) {
 			t.Errorf("workers=%d: faulted batch contents nondeterministic", workers)
 		}

@@ -1,6 +1,9 @@
 package controller
 
-import "ambit/internal/dram"
+import (
+	"ambit/internal/dram"
+	"ambit/internal/obs"
+)
 
 // Fused command-train evaluation.
 //
@@ -8,9 +11,10 @@ import "ambit/internal/dram"
 // through the B-group rows is either overwritten later in the same train or
 // fully determined by the operands, so the train's end state is a closed-form
 // function of Di and Dj.  When nothing can observe the intermediate steps —
-// tracing is off (the caller already guarantees that), the subarray is
-// precharged, and no fault hook is armed — the evaluator below applies that
-// end state in one pass per row instead of materializing every AAP's
+// the subarray is precharged and no fault hook is armed; a trace sees them
+// only as command events, which traced callers replay from the template
+// (emitFusedTrain) — the evaluator below applies that end state in one pass
+// per row instead of materializing every AAP's
 // charge-share/latch/restore, cutting the simulated row traffic roughly in
 // half for and/or and by ~4x for xor/xnor.  Commands are still charged
 // exactly: the compiled template carries the train's full command census
@@ -215,8 +219,37 @@ type RowTrain struct {
 // across it) and on any ineligibility the call returns false having changed
 // nothing, leaving the caller to fall back to per-row execution, which also
 // owns error reporting.  The caller must hold the bank's execution shard.
+// The pass emits no command events, so with tracing on it declines; traced
+// callers use ExecuteOpRowsFusedTraced.
 func (c *Controller) ExecuteOpRowsFused(op Op, bank int, trains []RowTrain) (float64, bool) {
-	if c.noFuse || len(trains) == 0 || c.tr.Enabled() {
+	if c.tr.Enabled() {
+		return 0, false
+	}
+	return c.executeOpRowsFused(op, bank, trains)
+}
+
+// ExecuteOpRowsFusedTraced is ExecuteOpRowsFused for a traced caller that
+// captures the bank's events into ss (obs.BeginShards): after the fused pass
+// it replays each train's command events (emitFusedTrain), tagging train i
+// with merge key keys[i] via ss.SetRow, so ss.MergeAndEmit yields exactly the
+// events the trains would have emitted one ExecuteOp at a time.  Nothing is
+// executed or emitted when it returns false.
+func (c *Controller) ExecuteOpRowsFusedTraced(op Op, bank int, trains []RowTrain, ss *obs.ShardSet, keys []int) (float64, bool) {
+	lat, ok := c.executeOpRowsFused(op, bank, trains)
+	if !ok {
+		return 0, false
+	}
+	for i := range trains {
+		t := &trains[i]
+		ss.SetRow(bank, keys[i])
+		c.emitFusedTrain(op, bank, t.Sub, t.DK, t.DI, t.DJ)
+	}
+	return lat, true
+}
+
+// executeOpRowsFused is the shared body of the two multi-row entry points.
+func (c *Controller) executeOpRowsFused(op Op, bank int, trains []RowTrain) (float64, bool) {
+	if c.noFuse || len(trains) == 0 {
 		return 0, false
 	}
 	switch op {

@@ -85,6 +85,11 @@ type Train struct {
 	// writes no operand; it provides the destination-row context handed to
 	// the fault injector via BeginTrain.
 	firstOut int
+
+	// fixedStr[i] holds step i's fixed (B/C-group) address renderings for
+	// trace replay (emitTrainEvents), interned here once, the way the
+	// built-in templates intern theirs; "" for operand-bound slots.
+	fixedStr [][2]string
 }
 
 // NewTrain validates and compiles a step sequence over the given number of
@@ -106,6 +111,7 @@ func NewTrain(name string, operands int, steps []TrainStep) (*Train, error) {
 		firstWrite: make([]int, operands),
 		lastRead:   make([]int, operands),
 		firstOut:   -1,
+		fixedStr:   make([][2]string, len(steps)),
 	}
 	for i := range t.firstWrite {
 		t.firstWrite[i], t.lastRead[i] = -1, -1
@@ -141,6 +147,7 @@ func NewTrain(name string, operands int, steps []TrainStep) (*Train, error) {
 			if err := checkFixed(i, s.A1, true); err != nil {
 				return nil, err
 			}
+			t.fixedStr[i][0] = s.A1.String()
 			wc1 = dram.WordlineCount(s.A1)
 			if wc1 == 2 {
 				// Two-wordline sensing has no defined template-level
@@ -173,6 +180,7 @@ func NewTrain(name string, operands int, steps []TrainStep) (*Train, error) {
 			if err := checkFixed(i, s.A2, false); err != nil {
 				return nil, err
 			}
+			t.fixedStr[i][1] = s.A2.String()
 			t.acts[dram.WordlineCount(s.A2)-1]++
 			b2 = s.A2.Group == dram.GroupB
 		}
@@ -487,15 +495,16 @@ func (c *Controller) executeTrainStepwise(t *Train, bank, sub int, rows []dram.R
 // emitTrainEvents replays the command events of one fused train execution,
 // byte-compatible with what executeTrainStepwise would have emitted (modulo
 // fault events, which cannot occur on the fused path).  Operand address
-// strings are interned per row index; comments are fixed at compile time.
+// strings are interned per row index, fixed addresses at NewTrain time, and
+// comments are fixed at compile time, so a replay allocates nothing.
 func (c *Controller) emitTrainEvents(t *Train, bank, sub int, rows []dram.RowAddr) {
 	tm := c.dev.Timing()
 	aapSplit, aapNaive, apLat := tm.AAPSplit(), tm.AAPNaive(), tm.AP()
-	addrStr := func(a dram.RowAddr, op int) string {
+	addrStr := func(fixed string, op int) string {
 		if op >= 0 {
 			return dRowStr(rows[op].Index)
 		}
-		return a.String()
+		return fixed
 	}
 	if cb := c.tr.CommandBuffer(bank); cb.Active() {
 		evs := cb.Extend(len(t.steps))
@@ -507,13 +516,13 @@ func (c *Controller) emitTrainEvents(t *Train, bank, sub int, rows []dram.RowAdd
 			ev.Bank, ev.Subarray = bank, sub
 			ev.StartNS = -1
 			ev.Rows = 0
-			ev.A1 = addrStr(s.A1, s.Op1)
+			ev.A1 = addrStr(t.fixedStr[i][0], s.Op1)
 			ev.A2 = ""
 			ev.Comment = s.Comment
 			if s.Kind == StepAAP {
 				a2 := resolveTrainAddr(s.A2, s.Op2, rows)
 				ev.Name = "AAP"
-				ev.A2 = addrStr(s.A2, s.Op2)
+				ev.A2 = addrStr(t.fixedStr[i][1], s.Op2)
 				ev.DurNS = aapNaive
 				if c.SplitDecoder && (a1.Group == dram.GroupB) != (a2.Group == dram.GroupB) {
 					ev.DurNS = aapSplit
@@ -536,10 +545,10 @@ func (c *Controller) emitTrainEvents(t *Train, bank, sub int, rows []dram.RowAdd
 			if c.SplitDecoder && (a1.Group == dram.GroupB) != (a2.Group == dram.GroupB) {
 				lat = aapSplit
 			}
-			c.emitCmd("AAP", bank, sub, addrStr(s.A1, s.Op1), addrStr(s.A2, s.Op2),
+			c.emitCmd("AAP", bank, sub, addrStr(t.fixedStr[i][0], s.Op1), addrStr(t.fixedStr[i][1], s.Op2),
 				lat, c.stepEnergyNJ(StepAAP, a1, a2), s.Comment)
 		} else {
-			c.emitCmd("AP", bank, sub, addrStr(s.A1, s.Op1), "",
+			c.emitCmd("AP", bank, sub, addrStr(t.fixedStr[i][0], s.Op1), "",
 				apLat, c.stepEnergyNJ(StepAP, a1, dram.RowAddr{}), s.Comment)
 		}
 	}

@@ -16,11 +16,11 @@ import (
 // struct: one is checked out per operation, carries the operands and the
 // schedule start time, and implements exec.GroupRunner over whole bank
 // groups.  Group-granular dispatch is also what enables the multi-row fused
-// fast path: a bulk group with tracing off and ECC off batches all of its
-// rows into a single controller.ExecuteOpRowsFused call — one word-parallel
-// pass, one device stats commit, one controller stats lock for the whole
-// bank — with the row-at-a-time body kept as the exact-semantics fallback
-// (traced runs, ECC, armed fault models, ineligible operands).
+// fast path: a bulk group with ECC off batches all of its rows into a
+// single controller.ExecuteOpRowsFused call (ExecuteOpRowsFusedTraced when
+// traced) — one word-parallel pass, one device stats commit, one controller
+// stats lock for the whole bank — with the row-at-a-time body kept as the
+// exact-semantics fallback (ECC, armed fault models, ineligible operands).
 //
 // Scratch slices (operand address buffers, train lists) come from pools and
 // are claimed per group, never shared across the concurrently running groups
@@ -97,16 +97,17 @@ func (r *opRunner) RunGroup(bank int, rows []int) exec.GroupResult {
 	}
 }
 
-// runBulkGroup runs one bank group of a bulk bitwise op.  Untraced,
-// non-ECC groups take the multi-row fused path; everything else (and any
-// group the fused dispatch rejects) falls back to the row-at-a-time body,
-// which owns error reporting and traced event emission.
+// runBulkGroup runs one bank group of a bulk bitwise op.  Non-ECC groups
+// take the multi-row fused path (traced ones replay each row's events into
+// the bank's shard, keyed by row); ECC groups, and any group the fused
+// dispatch rejects, fall back to the row-at-a-time body, which owns error
+// reporting.
 func (r *opRunner) runBulkGroup(bank int, rows []int) exec.GroupResult {
 	s := r.s
 	res := exec.GroupResult{ErrRow: -1}
 	op := r.op
 	unary := op.Unary()
-	if !r.ecc && r.ss == nil {
+	if !r.ecc {
 		tp := trainPool.Get().(*[]controller.RowTrain)
 		trains := (*tp)[:0]
 		for _, row := range rows {
@@ -117,7 +118,13 @@ func (r *opRunner) runBulkGroup(bank int, rows []int) exec.GroupResult {
 			}
 			trains = append(trains, t)
 		}
-		lat, ok := s.ctrl.ExecuteOpRowsFused(op, bank, trains)
+		var lat float64
+		var ok bool
+		if r.ss != nil {
+			lat, ok = s.ctrl.ExecuteOpRowsFusedTraced(op, bank, trains, r.ss, rows)
+		} else {
+			lat, ok = s.ctrl.ExecuteOpRowsFused(op, bank, trains)
+		}
 		*tp = trains[:0]
 		trainPool.Put(tp)
 		if ok {
