@@ -20,8 +20,8 @@
 //     (Section 5.4.2),
 //   - per-operation latency and energy accounting (internal/energy),
 //   - a batch execution engine (Batch) that records programs of bulk
-//     operations, derives their dependency graph, and dispatches
-//     independent operations concurrently across banks.
+//     operations, runs them as one in-order stream per bank, and overlaps
+//     independent operations across banks in simulated time.
 //
 // All operations are functionally exact (the simulated DRAM really computes
 // through triple-row-activation majority and DCC negation), and the
@@ -43,12 +43,12 @@
 //
 // Issuing operations one at a time serializes them on the system's global
 // clock even when they occupy different banks.  A Batch instead records a
-// program of operations, builds a dependency graph from their operand row
-// sets, and dispatches every independent operation concurrently: per-bank
-// timelines advance independently (Section 7's bank-level parallelism, as
-// programs of primitives in the spirit of the follow-up "In-DRAM Bulk
-// Bitwise Execution Engine", arXiv 1905.09822), and the host-side functional
-// simulation fans out across a goroutine worker pool.
+// program of operations and schedules it from a dependency graph built from
+// their operand row sets: per-bank timelines advance independently
+// (Section 7's bank-level parallelism, as programs of primitives in the
+// spirit of the follow-up "In-DRAM Bulk Bitwise Execution Engine", arXiv
+// 1905.09822), and the host-side functional simulation runs one in-order
+// stream per bank on a goroutine worker pool.
 //
 //	batch := sys.NewBatch()
 //	batch.Xor(t, a, b)   // recorded, not yet executed
@@ -65,11 +65,11 @@
 // bank, locks those banks' shards, and runs the per-bank command trains on a
 // bounded worker pool, so concurrent operations touching disjoint banks
 // proceed in parallel while operations sharing a bank serialize on its shard.
-// The parallel dispatch is deterministic — results and statistics are
-// bit-identical to a sequential run.  Operations that need a consistent
-// global view (Batch.Run, Popcount, Stats, Free, any configured
-// observability or fault injection) briefly take the execution lock
-// exclusively instead.  Direct access to the underlying Device, Controller,
+// The parallel dispatch is deterministic — results, statistics and traces
+// are bit-identical to a sequential run, with or without a fault model or
+// tracer.  Operations that need a consistent global view (Batch.Run,
+// Popcount, Stats, Free, a Copy between banks) briefly take the execution
+// lock exclusively instead.  Direct access to the underlying Device, Controller,
 // or RowClone engine (via their accessors) is NOT synchronized and should be
 // confined to one goroutine.
 package ambit
@@ -293,10 +293,10 @@ type System struct {
 	// bounded worker pool both direct ops and batches dispatch through.
 	eng *exec.Engine
 
-	// execMu is the execution lock.  Parallel operation paths hold it for
-	// reading — many may run at once, coordinated by eng's bank shards and
-	// statsMu — while everything needing a consistent global view (serial
-	// operation paths, Batch.Run, Popcount, Stats snapshots, Free, raw
+	// execMu is the execution lock.  Direct row-level operations hold it
+	// for reading — many may run at once, coordinated by eng's bank shards
+	// and statsMu — while everything needing a consistent global view
+	// (cross-bank copies, Batch.Run, Popcount, Stats snapshots, Free, raw
 	// bitvector data access) holds it exclusively.  Lock order:
 	// execMu > mu > bank shards > statsMu.
 	execMu sync.RWMutex
@@ -308,10 +308,6 @@ type System struct {
 	// parallel operations (exclusive execMu holders may skip it: no reader
 	// or writer can run concurrently with them).
 	statsMu sync.Mutex
-
-	// forceSerial routes every operation through the serial exclusive path
-	// (test hook for determinism comparisons).
-	forceSerial bool
 
 	// Allocator state: nextRow[slot] is the next free D-group row in
 	// each (bank, subarray) slot; vector row r is placed in slot
@@ -586,20 +582,6 @@ func stepEnergyFunc(m energy.Model, g dram.Geometry) controller.StepEnergyFunc {
 // guard every operation checks before paying for span bookkeeping.
 func (s *System) observing() bool {
 	return s.cfg.Tracer.Enabled() || s.cfg.Metrics != nil
-}
-
-// serialOnly reports whether operations must take the serial exclusive path.
-// Only the forceSerial test hook remains: an armed fault model no longer
-// forces it, because the model's RNG streams are keyed per (bank, subarray)
-// and the execution core runs each bank's rows in ascending order on one
-// goroutine under that bank's shard lock — every stream sees the same draw
-// sequence at any worker count, and the model's counters are order-
-// independent atomic sums, merged exactly like the tracer's per-bank shards.
-// Observability does not force it either — the sharded tracer (obs.ShardSet)
-// and the atomic metrics registry make the parallel path produce
-// byte-identical traces and identical metrics.
-func (s *System) serialOnly() bool {
-	return s.forceSerial
 }
 
 // observeOp records one completed operation into the metrics registry and

@@ -11,11 +11,14 @@ import (
 )
 
 // smallSystem returns a System over a compact device so tests stay fast.
-func smallSystem(t *testing.T) *System {
+func smallSystem(t *testing.T, opts ...Option) *System {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.DRAM.Geometry = dram.Geometry{
 		Banks: 4, SubarraysPerBank: 2, RowsPerSubarray: 64, RowSizeBytes: 128,
+	}
+	for _, o := range opts {
+		o(&cfg)
 	}
 	s, err := NewSystem(cfg)
 	if err != nil {

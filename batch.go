@@ -3,12 +3,11 @@ package ambit
 import (
 	"errors"
 	"fmt"
-	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"ambit/internal/controller"
 	"ambit/internal/dram"
+	"ambit/internal/exec"
 	"ambit/internal/obs"
 	"ambit/internal/program"
 )
@@ -46,7 +45,7 @@ type batchOp struct {
 	rowLats []float64
 	// rowRel holds each row's reliability outcome when the TMR policy is
 	// enabled (nil otherwise); the timing phase folds it into the stats
-	// and quarantine scores so worker goroutines never touch s.stats.
+	// and quarantine scores so bank streams never touch s.stats.
 	rowRel []controller.RowResult
 }
 
@@ -67,16 +66,20 @@ func (o *batchOp) metricName() string {
 	}
 }
 
-// rows returns how many rows the op touches (for span reporting).
-func (o *batchOp) rows() int {
+// streamRows returns the rows that place the op's row-level items in bank
+// streams: the destination rows, or the source rows of a Popcount.
+func (o *batchOp) streamRows() []dram.PhysAddr {
 	switch o.kind {
 	case batchPopcount:
-		return len(o.a.rows)
+		return o.a.rows
 	case batchFunc:
-		return len(o.dsts[0].rows)
+		return o.dsts[0].rows
 	}
-	return len(o.dst.rows)
+	return o.dst.rows
 }
+
+// rows returns how many rows the op touches (for span reporting).
+func (o *batchOp) rows() int { return len(o.streamRows()) }
 
 // name renders the op for error messages.
 func (o *batchOp) name() string {
@@ -168,23 +171,20 @@ type BatchReport struct {
 // Batch records a program of bulk operations for pipelined dispatch.
 //
 // Operations are recorded by the same-named methods (And, Xor, Copy, ...)
-// and validated immediately, but nothing executes until Run.  Run builds a
-// dependency graph from the operations' operand row sets (internal/program),
-// executes independent operations concurrently on a goroutine worker pool,
-// and schedules their command trains against per-bank timelines: two
-// operations that touch disjoint banks overlap fully in simulated time,
-// instead of serializing on the System's global clock the way direct calls
-// do.  This is the "program of bbop primitives" execution model of the
-// follow-up work "In-DRAM Bulk Bitwise Execution Engine" (arXiv 1905.09822).
+// and validated immediately, but nothing executes until Run.  Run executes
+// the program as one in-order stream per bank on the System's worker pool
+// (WithExecWorkers bounds it), and schedules the command trains against
+// per-bank timelines using a dependency graph built from the operations'
+// operand row sets (internal/program): two operations that touch disjoint
+// banks overlap fully in simulated time, instead of serializing on the
+// System's global clock the way direct calls do.  This is the "program of
+// bbop primitives" execution model of the follow-up work "In-DRAM Bulk
+// Bitwise Execution Engine" (arXiv 1905.09822).
 //
 // A Batch is not safe for concurrent recording; record from one goroutine,
 // then Run (Run itself synchronizes with all other System activity).  A
 // Batch can run only once.
 type Batch struct {
-	// Workers caps the goroutines executing the host-side functional
-	// simulation; 0 means GOMAXPROCS.
-	Workers int
-
 	sys *System
 	ops []*batchOp
 	ran bool
@@ -297,25 +297,23 @@ func (b *Batch) Popcount(v *Bitvector) (*PopcountResult, error) {
 
 // Run executes the recorded program.
 //
-// The run has two phases.  The functional phase executes every operation's
-// command trains against the simulated device.  When the batch is fault-free,
-// non-ECC, and its copies are bank-local, the whole program collapses into
-// one fused word-parallel pass per bank (executeFused): the program is
-// flattened into row-level items, each bank's items run on one goroutine in
-// recording order, and consecutive same-opcode bulk items evaluate in a
-// single word-parallel kernel sweep.  A traced batch takes the same route;
-// its command events come out in recording order, byte-identical to a serial
-// run.  Otherwise independent operations fan out across a worker pool (one
-// lock per bank keeps trains on a bank atomic).  All routes are bit- and
-// Stats-identical.  The timing phase then replays the program in deterministic
-// order against the per-bank timelines: an operation starts when its
-// dependencies finish, and each of its row trains occupies its bank from the
-// bank's own earliest free moment — so independent operations on disjoint
-// banks overlap in simulated time.  The System clock advances by the batch
-// makespan, not by the sum of operation latencies.
+// The run has two phases.  The functional phase (execute) flattens the
+// program into row-level items and runs each bank's items in recording order
+// on one goroutine; consecutive same-opcode bulk items on a bank evaluate in
+// one word-parallel kernel sweep.  A cross-bank copy is an epoch barrier: the
+// streams run up to it, its rows run alone, then the streams resume.  Results,
+// Stats and traces are those of running the program serially in recording
+// order, at any worker count.  The timing phase then replays the program in
+// deterministic order against the per-bank timelines: an operation starts
+// when its dependencies finish, and each of its row trains occupies its bank
+// from the bank's own earliest free moment — so independent operations on
+// disjoint banks overlap in simulated time.  The System clock advances by the
+// batch makespan, not by the sum of operation latencies.
 //
 // On error the simulated clock and counters are left unchanged, but DRAM
-// contents may reflect a partially executed program.
+// contents may reflect a partially executed program: every epoch before the
+// failing one completed, and within it every bank ran its stream up to its
+// first failing item.
 func (b *Batch) Run() (BatchReport, error) {
 	s := b.sys
 	s.execMu.Lock()
@@ -341,7 +339,7 @@ func (b *Batch) Run() (BatchReport, error) {
 		devBefore = s.dev.Stats()
 	}
 	g := program.Build(b.programOps())
-	if err := b.execute(g); err != nil {
+	if err := b.execute(); err != nil {
 		// Reliability outcomes of completed rows are dropped on error
 		// (the timing phase never runs), but an exhausted retry budget is
 		// still counted so the failure is visible in the stats.
@@ -400,487 +398,197 @@ func (b *Batch) programOps() []program.Op {
 	return ops
 }
 
-// execute runs the functional phase.  Fault-free, non-ECC batches with
-// bank-local copies take the fused whole-program path (executeFused): the
-// entire program collapses into one word-parallel pass per bank, instead of
-// one dispatch per operation; tracing does not force them off it.  Otherwise
-// this is a dataflow dispatch over the dependency graph with at most
-// b.Workers concurrent executors.  Each op records its per-row command-train
-// latencies for the timing phase.  Bank atomicity comes from the shared
-// execution engine's per-bank shards — the same locks the direct-op parallel
-// path uses.
-func (b *Batch) execute(g *program.Graph) error {
-	if b.fusedEligible() {
-		return b.executeFused()
-	}
-	if b.sys.fm != nil || b.sys.serialOnly() {
-		// An armed fault model keys its RNG streams per (bank, subarray)
-		// and needs a deterministic train order within each pair.  Direct
-		// ops get that from the engine's ascending-row dispatch; batch
-		// op-level concurrency does not (two independent ops may share a
-		// bank and interleave trains race-dependently), so the functional
-		// phase runs in recording order — a valid topological order,
-		// since dependencies only point backwards.  The timing phase is
-		// unaffected: simulated-time overlap is computed identically.
-		// The forceSerial test hook takes the same route: it is the
-		// serial reference the fused path's results and traces are
-		// compared against.
-		for i := range b.ops {
-			if err := b.execOp(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	workers := b.Workers
-	if workers <= 0 {
-		workers = b.sys.eng.Workers()
-	}
-	sem := make(chan struct{}, workers)
-	indeg := make([]int32, len(b.ops))
-	for i := range b.ops {
-		indeg[i] = int32(len(g.Deps(i)))
-	}
-	var (
-		wg       sync.WaitGroup
-		failed   atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-	)
-	wg.Add(len(b.ops))
-	var start func(i int)
-	start = func(i int) {
-		go func() {
-			sem <- struct{}{}
-			if !failed.Load() {
-				if err := b.execOp(i); err != nil {
-					failed.Store(true)
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-				}
-			}
-			<-sem
-			// Release successors before signalling completion so the
-			// WaitGroup never drains with work still unlaunched.
-			for _, succ := range g.Succs(i) {
-				if atomic.AddInt32(&indeg[succ], -1) == 0 {
-					start(succ)
-				}
-			}
-			wg.Done()
-		}()
-	}
-	// Roots are identified from the immutable graph, not the live indeg
-	// counters: a counter an already-running worker drains to zero would
-	// otherwise be started twice (once here, once by that worker).
-	for i := range b.ops {
-		if len(g.Deps(i)) == 0 {
-			start(i)
-		}
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// batchItem is one row-level unit of the flattened fused program: op indexes
-// the recorded operation, row the row within it.  The flat item list is built
-// in recording order, so an item's index is its recording-order position —
-// the deterministic tiebreaker for error merging.
+// batchItem is one row-level unit of the flattened program: op indexes the
+// recorded operation, row the row within it.  The flat item list is built in
+// recording order, so an item's index is its recording-order position — its
+// place in its bank's stream, its trace merge key, and the deterministic
+// tiebreaker for error merging.
 type batchItem struct {
 	op, row int32
 }
 
-// rowBufPool recycles full-row word buffers for the fused batch path's
-// popcount streams — the per-(bank, worker) arena that keeps the steady-state
-// data plane allocation-free.
-var rowBufPool = sync.Pool{New: func() any { return new([]uint64) }}
-
-// fusedEligible reports whether the whole program can run as one fused
-// per-bank pass.  ECC needs the execute-verify-retry wrapper and an armed
-// fault model needs the stepwise per-train RNG draws — both of which the
-// fused evaluation elides — so either forces a fallback path.  Tracing does
-// not: executeFused captures each bank stream's command events into an
-// obs.ShardSet and merges them into recording order.  Cross-bank copy rows
-// (PSM copies through the channel) touch two banks per train and would break
-// the one-goroutine-per-bank execution invariant, so they disqualify too.
-func (b *Batch) fusedEligible() bool {
-	s := b.sys
-	if s.fm != nil || s.cfg.Reliability.ECC || s.serialOnly() {
-		return false
-	}
-	for _, op := range b.ops {
-		if op.kind != batchCopy {
-			continue
-		}
-		for r := range op.dst.rows {
-			if op.a.rows[r].Bank != op.dst.rows[r].Bank {
-				return false
-			}
-		}
-	}
-	return true
+// batchStream is the functional phase's exec.GroupRunner: a group is one
+// bank's items of the current epoch, run in recording order.
+type batchStream struct {
+	b     *Batch
+	items []batchItem
+	ecc   bool
+	ss    *obs.ShardSet
 }
 
-// executeFused is the batch-level fused functional phase.  The recorded
-// program is flattened into row-level items and partitioned by bank; each
-// bank's slice executes on one goroutine in recording order, which preserves
-// every data dependency: cooperating operands are co-located row-for-row by
-// the allocator (and copy rows are bank-local per fusedEligible), so any two
-// items that touch the same DRAM row land in the same bank's stream, already
-// ordered.  Within a stream, consecutive bulk items with the same opcode
-// coalesce into a single word-parallel fused evaluation — the whole program
-// becomes a handful of fused passes per bank instead of one dispatch per op.
-// Per-row latencies land in rowLats exactly as the stepwise phase records
-// them, so the timing phase (schedule) and all Stats are unchanged.
+// execute runs the functional phase.  Every item runs in its bank's stream:
+// cooperating operands are co-located row for row by the allocator, so any
+// two items that touch the same DRAM row are in the same stream, already in
+// recording order, and each op's per-row latencies (and, under ECC, per-row
+// reliability outcomes) land in rowLats/rowRel for the timing phase.
 //
-// When tracing is on, each bank's stream captures its command events into
-// its shard of an obs.ShardSet, keyed by the item's recording-order index
-// (SetRow).  Indices are unique across banks and ascending within each
-// stream, so MergeAndEmit reproduces exactly the event order of a serial
-// recording-order run.
-func (b *Batch) executeFused() error {
+// The one exception is a cross-bank copy row (a PSM copy over the internal
+// bus), which reads a row in another bank's stream.  Each such copy is an
+// epoch barrier: the items before it run as one plan, its own rows run alone
+// with their bank groups one after another, and the items after it run as
+// the next plan.  Run holds execMu exclusively, so no bank shard locks are
+// needed.
+func (b *Batch) execute() error {
 	s := b.sys
+	st := &batchStream{b: b, ecc: s.cfg.Reliability.ECC}
 	n := 0
 	for _, op := range b.ops {
 		rows := op.rows()
 		if op.kind != batchPopcount {
 			op.rowLats = make([]float64, rows)
 		}
+		if op.kind == batchBulk && st.ecc {
+			op.rowRel = make([]controller.RowResult, rows)
+		}
 		n += rows
 	}
-	items := make([]batchItem, 0, n)
+	st.items = make([]batchItem, 0, n)
 	addrs := make([]dram.PhysAddr, 0, n)
+	var barriers [][2]int // item ranges of cross-bank copies
 	for i, op := range b.ops {
-		switch op.kind {
-		case batchPopcount:
-			for r, a := range op.a.rows {
-				items = append(items, batchItem{int32(i), int32(r)})
-				addrs = append(addrs, a)
-			}
-		case batchFunc:
-			for r, a := range op.dsts[0].rows {
-				items = append(items, batchItem{int32(i), int32(r)})
-				addrs = append(addrs, a)
-			}
-		default:
-			for r, a := range op.dst.rows {
-				items = append(items, batchItem{int32(i), int32(r)})
-				addrs = append(addrs, a)
-			}
+		first := len(st.items)
+		for r, a := range op.streamRows() {
+			st.items = append(st.items, batchItem{int32(i), int32(r)})
+			addrs = append(addrs, a)
+		}
+		if op.kind == batchCopy && crossBank(op.dst, op.a) {
+			barriers = append(barriers, [2]int{first, len(st.items)})
 		}
 	}
-	plan := s.eng.PlanAddrs(addrs)
-	defer plan.Release()
-	groups := plan.Groups()
-	if len(groups) == 0 {
-		return nil
-	}
-	// Run holds execMu exclusively and each bank's stream runs on exactly one
-	// goroutine, so no shard locks are needed — that exclusivity is also
-	// what the ShardSet contract asks of them.  Workers caps host
-	// concurrency; errors merge lowest-item-first so the reported failure is
-	// deterministic regardless of interleaving.
-	ss := s.cfg.Tracer.BeginShards(plan.Banks())
-	workers := b.Workers
-	if workers <= 0 {
-		workers = s.eng.Workers()
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	errItems := make([]int, len(groups))
-	errs := make([]error, len(groups))
-	runGroup := func(gi int) {
-		errItems[gi], errs[gi] = b.runFusedGroup(groups[gi].Bank, groups[gi].Rows, items, ss)
-	}
-	if workers <= 1 {
-		for gi := range groups {
-			runGroup(gi)
+	lo := 0
+	for _, br := range barriers {
+		if err := st.runEpoch(addrs, lo, br[0], false); err != nil {
+			return err
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		drain := func() {
-			for {
-				gi := int(next.Add(1)) - 1
-				if gi >= len(groups) {
-					return
-				}
-				runGroup(gi)
-			}
+		if err := st.runEpoch(addrs, br[0], br[1], true); err != nil {
+			return err
 		}
-		wg.Add(workers - 1)
-		for k := 0; k < workers-1; k++ {
-			go func() {
-				defer wg.Done()
-				drain()
-			}()
-		}
-		drain()
-		wg.Wait()
+		lo = br[1]
 	}
-	ss.MergeAndEmit()
-	var firstErr error
-	firstItem := -1
-	for gi, err := range errs {
-		if err != nil && (firstErr == nil || errItems[gi] < firstItem) {
-			firstErr, firstItem = err, errItems[gi]
-		}
-	}
-	return firstErr
+	return st.runEpoch(addrs, lo, len(addrs), false)
 }
 
-// runFusedGroup executes one bank's slice of the flattened program in
-// recording order.  idx holds indices into items (ascending, i.e. recording
-// order); each item's events are captured under its index as merge key when
-// ss is non-nil.  On failure it returns the failing item's global index and
-// its error (formatted exactly as the stepwise phase formats it); on success
-// (-1, nil).
-func (b *Batch) runFusedGroup(bank int, idx []int, items []batchItem, ss *obs.ShardSet) (int, error) {
-	s := b.sys
-	var rowBuf *[]uint64 // lazily claimed popcount arena
-	defer func() {
-		if rowBuf != nil {
-			rowBufPool.Put(rowBuf)
-		}
-	}()
-	k := 0
-	for k < len(idx) {
-		it := items[idx[k]]
+// runEpoch runs items lo..hi-1 as one plan: one recording-order stream per
+// bank on the worker pool, or, with serial, the banks one after another on
+// this goroutine.  Each stream captures its command events into its bank's
+// shard keyed by item index, so MergeAndEmit delivers them in recording
+// order.  The reported error is the lowest-indexed failing item's.
+func (st *batchStream) runEpoch(addrs []dram.PhysAddr, lo, hi int, serial bool) error {
+	if lo == hi {
+		return nil
+	}
+	s := st.b.sys
+	plan := s.eng.PlanRange(addrs, lo, hi)
+	st.ss = s.cfg.Tracer.BeginShards(plan.Banks())
+	var res exec.Result
+	if serial {
+		res = s.eng.RunPlanSerial(plan, st)
+	} else {
+		res = s.eng.RunPlan(plan, st)
+	}
+	st.ss.MergeAndEmit()
+	plan.Release()
+	return res.Err
+}
+
+// RunGroup runs one bank's items (idx, ascending item indices) in recording
+// order and stops at the first failing item.  A maximal run of consecutive
+// same-opcode bulk items evaluates in one fused pass (replaying its events
+// into the shard when traced); when ECC is on, or the fused dispatch rejects
+// the run (raised amplifiers, an armed fault injector), its items run
+// stepwise, one train each.
+func (st *batchStream) RunGroup(bank int, idx []int) exec.GroupResult {
+	b, s := st.b, st.b.sys
+	res := exec.GroupResult{ErrRow: -1}
+	var rowBuf *[]uint64 // popcount row buffer, claimed on first use
+	stepwise := 0        // idx[:stepwise] ends with a run the fused pass rejected
+	for k := 0; k < len(idx); {
+		it := st.items[idx[k]]
 		op := b.ops[it.op]
-		switch op.kind {
-		case batchBulk:
-			// Coalesce the maximal run of consecutive bulk items with the
-			// same opcode into one fused evaluation.
+		if op.kind == batchBulk && !st.ecc && k >= stepwise {
 			j := k + 1
 			for j < len(idx) {
-				nx := b.ops[items[idx[j]].op]
+				nx := b.ops[st.items[idx[j]].op]
 				if nx.kind != batchBulk || nx.op != op.op {
 					break
 				}
 				j++
 			}
-			if item, err := b.runFusedBulkRun(bank, idx[k:j], items, ss); err != nil {
-				return item, err
+			tp := getTrains()
+			for _, i := range idx[k:j] {
+				o, r := b.ops[st.items[i].op], int(st.items[i].row)
+				*tp = append(*tp, bulkTrain(o.op, o.dst, o.a, o.b, r))
 			}
-			k = j
-		case batchCopy:
-			ss.SetRow(bank, idx[k])
-			_, lat, err := s.rc.Copy(op.a.rows[it.row], op.dst.rows[it.row])
-			if err != nil {
-				return idx[k], fmt.Errorf("ambit: batch Copy row %d: %w", it.row, err)
-			}
-			op.rowLats[it.row] = lat
-			k++
-		case batchFill:
-			ss.SetRow(bank, idx[k])
-			addr := op.dst.rows[it.row]
-			var lat float64
-			var err error
-			if op.fillBit {
-				lat, err = s.rc.InitOne(addr.Bank, addr.Subarray, addr.Row)
-			} else {
-				lat, err = s.rc.InitZero(addr.Bank, addr.Subarray, addr.Row)
-			}
-			if err != nil {
-				return idx[k], fmt.Errorf("ambit: batch Fill row %d: %w", it.row, err)
-			}
-			op.rowLats[it.row] = lat
-			k++
-		case batchFunc:
-			bp := rowAddrPool.Get().(*[]dram.RowAddr)
-			buf := *bp
-			nOps := op.fn.c.NumInputs + op.fn.c.NumOutputs
-			if cap(buf) < nOps {
-				buf = make([]dram.RowAddr, nOps)
-			}
-			buf = buf[:nOps]
-			da := fillFuncRow(op.fn, op.dsts, op.srcs, int(it.row), buf)
-			ss.SetRow(bank, idx[k])
-			lat, err := s.ctrl.ExecuteTrain(op.fn.c.Train, da.Bank, da.Subarray, buf)
-			*bp = buf[:0]
-			rowAddrPool.Put(bp)
-			if err != nil {
-				return idx[k], fmt.Errorf("ambit: batch func %s row %d: %w", op.fn.name, it.row, err)
-			}
-			op.rowLats[it.row] = lat
-			k++
-		case batchPopcount:
-			if rowBuf == nil {
-				rowBuf = rowBufPool.Get().(*[]uint64)
-				if wpr := s.dev.Geometry().WordsPerRow(); cap(*rowBuf) < wpr {
-					*rowBuf = make([]uint64, wpr)
+			if lat, ok := s.fusedBulk(op.op, bank, tp, st.ss, idx[k:j]); ok {
+				for _, i := range idx[k:j] {
+					b.ops[st.items[i].op].rowLats[st.items[i].row] = lat
 				}
-				*rowBuf = (*rowBuf)[:s.dev.Geometry().WordsPerRow()]
+				res.Completed += j - k
+				k = j
+				continue
 			}
-			addr := op.a.rows[it.row]
-			if err := s.dev.ReadRowInto(addr, *rowBuf); err != nil {
-				return idx[k], fmt.Errorf("ambit: batch Popcount row %d: %w", it.row, err)
-			}
-			var pc int64
-			for _, w := range *rowBuf {
-				pc += int64(bits.OnesCount64(w))
-			}
-			atomic.AddInt64(&op.result.n, pc)
-			k++
+			stepwise = j
 		}
+		st.ss.SetRow(bank, idx[k])
+		if err := st.runItem(op, int(it.row), &rowBuf); err != nil {
+			res.Err, res.ErrRow = err, idx[k]
+			break
+		}
+		res.Completed++
+		k++
 	}
-	return -1, nil
+	if rowBuf != nil {
+		rowBufPool.Put(rowBuf)
+	}
+	return res
 }
 
-// runFusedBulkRun executes a run of same-opcode bulk items on one bank — one
-// fused word-parallel pass over all of their trains (replaying their events
-// into ss when traced), with the stepwise per-row controller call as the
-// exact-semantics fallback when the fused dispatch rejects the run (raised
-// amplifiers, an armed per-subarray injector).
-func (b *Batch) runFusedBulkRun(bank int, idx []int, items []batchItem, ss *obs.ShardSet) (int, error) {
-	s := b.sys
-	op0 := b.ops[items[idx[0]].op].op
-	unary := op0.Unary()
-	tp := trainPool.Get().(*[]controller.RowTrain)
-	trains := (*tp)[:0]
-	for _, ii := range idx {
-		it := items[ii]
-		op := b.ops[it.op]
-		da := op.dst.rows[it.row]
-		t := controller.RowTrain{Sub: da.Subarray, DK: da.Row, DI: op.a.rows[it.row].Row}
-		if !unary {
-			t.DJ = op.b.rows[it.row].Row
-		}
-		trains = append(trains, t)
-	}
+// runItem executes row r of op as one stepwise train (or, for Popcount, one
+// row read) and records its latency.
+func (st *batchStream) runItem(op *batchOp, r int, rowBuf **[]uint64) error {
+	s := st.b.sys
 	var lat float64
-	var ok bool
-	if ss != nil {
-		lat, ok = s.ctrl.ExecuteOpRowsFusedTraced(op0, bank, trains, ss, idx)
-	} else {
-		lat, ok = s.ctrl.ExecuteOpRowsFused(op0, bank, trains)
-	}
-	*tp = trains[:0]
-	trainPool.Put(tp)
-	if ok {
-		for _, ii := range idx {
-			it := items[ii]
-			b.ops[it.op].rowLats[it.row] = lat
-		}
-		return -1, nil
-	}
-	for _, ii := range idx {
-		it := items[ii]
-		op := b.ops[it.op]
-		da, aa := op.dst.rows[it.row], op.a.rows[it.row]
-		var ba dram.RowAddr
-		if !unary {
-			ba = op.b.rows[it.row].Row
-		}
-		ss.SetRow(bank, ii)
-		lat, err := s.ctrl.ExecuteOp(op.op, da.Bank, da.Subarray, da.Row, aa.Row, ba)
-		if err != nil {
-			return ii, fmt.Errorf("ambit: batch %v row %d: %w", op.op, it.row, err)
-		}
-		op.rowLats[it.row] = lat
-	}
-	return -1, nil
-}
-
-// execOp functionally executes op i, holding the relevant bank shard for each
-// row-level command train so concurrent ops interleave only at train
-// boundaries (a train is self-contained: it stages operands into the B-group
-// rows, operates, and copies out before releasing the bank).
-func (b *Batch) execOp(i int) error {
-	op := b.ops[i]
-	s := b.sys
-	eng := s.eng
+	var err error
 	switch op.kind {
 	case batchBulk:
-		op.rowLats = make([]float64, len(op.dst.rows))
-		if s.cfg.Reliability.ECC {
-			op.rowRel = make([]controller.RowResult, len(op.dst.rows))
+		var rr controller.RowResult
+		rr, err = s.bulkRow(op.op, st.ecc, op.dst, op.a, op.b, r)
+		if op.rowRel != nil {
+			op.rowRel[r] = rr
 		}
-		for r := range op.dst.rows {
-			da, aa := op.dst.rows[r], op.a.rows[r]
-			var ba dram.RowAddr
-			if !op.op.Unary() {
-				ba = op.b.rows[r].Row
-			}
-			var lat float64
-			var err error
-			eng.LockBank(da.Bank)
-			if op.rowRel != nil {
-				var rr controller.RowResult
-				rr, err = s.execRowReliable(op.op, da, aa.Row, ba)
-				op.rowRel[r] = rr
-				lat = rr.LatencyNS
-			} else {
-				lat, err = s.ctrl.ExecuteOp(op.op, da.Bank, da.Subarray, da.Row, aa.Row, ba)
-			}
-			eng.UnlockBank(da.Bank)
-			if err != nil {
-				return fmt.Errorf("ambit: batch %v row %d: %w", op.op, r, err)
-			}
-			op.rowLats[r] = lat
-		}
+		lat = rr.LatencyNS
 	case batchCopy:
-		op.rowLats = make([]float64, len(op.dst.rows))
-		for r := range op.dst.rows {
-			src, dst := op.a.rows[r], op.dst.rows[r]
-			eng.LockPair(src.Bank, dst.Bank)
-			_, lat, err := s.rc.Copy(src, dst)
-			eng.UnlockPair(src.Bank, dst.Bank)
-			if err != nil {
-				return fmt.Errorf("ambit: batch Copy row %d: %w", r, err)
-			}
-			op.rowLats[r] = lat
-		}
+		lat, err = s.copyRow(op.a.rows[r], op.dst.rows[r])
 	case batchFill:
-		op.rowLats = make([]float64, len(op.dst.rows))
-		for r, addr := range op.dst.rows {
-			var lat float64
-			var err error
-			eng.LockBank(addr.Bank)
-			if op.fillBit {
-				lat, err = s.rc.InitOne(addr.Bank, addr.Subarray, addr.Row)
-			} else {
-				lat, err = s.rc.InitZero(addr.Bank, addr.Subarray, addr.Row)
-			}
-			eng.UnlockBank(addr.Bank)
-			if err != nil {
-				return fmt.Errorf("ambit: batch Fill row %d: %w", r, err)
-			}
-			op.rowLats[r] = lat
-		}
+		lat, err = s.fillRow(op.dst.rows[r], op.fillBit)
 	case batchFunc:
-		n := len(op.dsts[0].rows)
-		op.rowLats = make([]float64, n)
-		buf := make([]dram.RowAddr, op.fn.c.NumInputs+op.fn.c.NumOutputs)
-		for r := 0; r < n; r++ {
-			da := fillFuncRow(op.fn, op.dsts, op.srcs, r, buf)
-			eng.LockBank(da.Bank)
-			lat, err := s.ctrl.ExecuteTrain(op.fn.c.Train, da.Bank, da.Subarray, buf)
-			eng.UnlockBank(da.Bank)
-			if err != nil {
-				return fmt.Errorf("ambit: batch func %s row %d: %w", op.fn.name, r, err)
-			}
-			op.rowLats[r] = lat
-		}
+		bp := getRowAddrs(op.fn.c.NumInputs + op.fn.c.NumOutputs)
+		lat, err = s.funcRow(op.fn, op.dsts, op.srcs, r, *bp)
+		rowAddrPool.Put(bp)
 	case batchPopcount:
-		var n int64
-		for r, addr := range op.a.rows {
-			eng.LockBank(addr.Bank)
-			row, err := s.dev.ReadRow(addr)
-			eng.UnlockBank(addr.Bank)
-			if err != nil {
-				return fmt.Errorf("ambit: batch Popcount row %d: %w", r, err)
+		if *rowBuf == nil {
+			wpr := s.dev.Geometry().WordsPerRow()
+			p := rowBufPool.Get().(*[]uint64)
+			if cap(*p) < wpr {
+				*p = make([]uint64, wpr)
 			}
-			for _, w := range row {
-				n += int64(bits.OnesCount64(w))
-			}
+			*p = (*p)[:wpr]
+			*rowBuf = p
 		}
-		op.result.n = n
+		var n int64
+		if n, err = s.popcountRow(op.a.rows[r], **rowBuf); err == nil {
+			atomic.AddInt64(&op.result.n, n)
+			return nil
+		}
 	}
+	if err != nil {
+		name := op.name()
+		if op.kind == batchFunc {
+			name = "func " + op.fn.name
+		}
+		return fmt.Errorf("ambit: batch %s row %d: %w", name, r, err)
+	}
+	op.rowLats[r] = lat
 	return nil
 }
 

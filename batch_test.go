@@ -257,10 +257,9 @@ func TestBatchOverlapReducesMakespan(t *testing.T) {
 func TestBatchTimingDeterministic(t *testing.T) {
 	run := func(workers int) float64 {
 		rng := rand.New(rand.NewSource(5))
-		s := smallSystem(t)
+		s := smallSystem(t, WithExecWorkers(workers))
 		n := rowBits(s)
 		b := s.NewBatch()
-		b.Workers = workers
 		var prev *Bitvector
 		for i := 0; i < 6; i++ {
 			a := s.MustAlloc(n)

@@ -7,7 +7,6 @@
 //	ambitd                            # serve on localhost:8612
 //	ambitd -addr :9000                # any interface
 //	ambitd -max-inflight 4 -quota 256 # tighter admission + tenant quotas
-//	ambitd -warm                      # keep a background synthetic workload
 //
 // Quickstart (see README.md "Serving bitvectors over HTTP" for the full
 // walk-through):
@@ -33,24 +32,19 @@
 // With -log, every failed request and one in -log-every successful requests
 // is written to stderr as a structured log line (text or JSON).
 //
-// With -warm, a low-rate randomized bulk-bitwise workload (the old ambitd
-// behaviour) runs in the background so /trace and /banks show activity even
-// before the first client connects.  Interrupt (ctrl-c) stops everything and
-// prints the final stats.
+// To drive load against a running ambitd, use cmd/ambitload.  Interrupt
+// (ctrl-c) stops the server and prints the final stats.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"ambit"
-	"ambit/internal/controller"
 	"ambit/internal/service"
 )
 
@@ -70,9 +64,6 @@ func main() {
 	logMode := flag.String("log", "", "structured request logging to stderr: text or json (empty = off)")
 	logEvery := flag.Int("log-every", 100, "log one in N successful requests (failures always logged; with -log)")
 	slowlogSize := flag.Int("slowlog", 0, "slowest requests retained for /debug/slowlog (0 = default 64)")
-	warm := flag.Bool("warm", false, "run a background synthetic workload")
-	interval := flag.Duration("interval", 50*time.Millisecond, "pause between background workload ops (with -warm)")
-	seed := flag.Int64("seed", 1, "background workload seed (with -warm)")
 	flag.Parse()
 
 	sys, err := ambit.New(
@@ -113,20 +104,7 @@ func main() {
 		sys.TelemetryAddr(), sys.TelemetryAddr())
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-
-	done := make(chan struct{})
-	workloadExited := make(chan struct{})
-	if *warm {
-		go func() {
-			defer close(workloadExited)
-			warmWorkload(sys, *seed, *interval, done)
-		}()
-	} else {
-		close(workloadExited)
-	}
 	<-stop
-	close(done)
-	<-workloadExited
 
 	fmt.Printf("ambitd: final stats: %v\n", sys.Stats())
 	if err := svc.Close(); err != nil {
@@ -134,50 +112,5 @@ func main() {
 	}
 	if err := sys.Close(); err != nil {
 		fail("close: %v", err)
-	}
-}
-
-// warmWorkload is the old ambitd loop: randomized Figure-8 operations plus
-// RowClone copies and fills over bank-spread vectors, at a gentle rate.
-func warmWorkload(sys *ambit.System, seed int64, interval time.Duration, done <-chan struct{}) {
-	bits := 8 * int64(sys.RowSizeBits())
-	a, b, d := sys.MustAlloc(bits), sys.MustAlloc(bits), sys.MustAlloc(bits)
-	rng := rand.New(rand.NewSource(seed))
-	w := make([]uint64, a.WordCount())
-	for _, v := range []*ambit.Bitvector{a, b} {
-		for i := range w {
-			w[i] = rng.Uint64()
-		}
-		if err := v.Write(w, ambit.Backdoor()); err != nil {
-			fail("%v", err)
-		}
-	}
-	bulk := []controller.Op{
-		controller.OpAnd, controller.OpOr, controller.OpNot, controller.OpNand,
-		controller.OpNor, controller.OpXor, controller.OpXnor,
-	}
-	for {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		var err error
-		switch k := rng.Intn(10); {
-		case k < 7:
-			err = sys.Apply(bulk[rng.Intn(len(bulk))], d, a, b)
-		case k < 8:
-			err = sys.Copy(d, a)
-		case k < 9:
-			err = sys.Fill(d, rng.Intn(2) == 1)
-		default:
-			_, err = sys.Popcount(d)
-		}
-		if err != nil {
-			fail("workload: %v", err)
-		}
-		if interval > 0 {
-			time.Sleep(interval)
-		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ambit/internal/compile"
-	"ambit/internal/dram"
 )
 
 // Expr is a boolean expression DAG over bit-vector variables — the input
@@ -165,7 +164,7 @@ func (f *Func) Run(dst *Bitvector, srcs ...*Bitvector) error {
 // that would corrupt a still-needed source are rejected.
 //
 // Like the built-in operations, rows mapped to different banks execute in
-// parallel, and the parallel and serial paths are deterministic equals.
+// parallel, with results and Stats independent of the worker count.
 // Compiled functions run outside the TMR reliability policy: rows execute
 // unverified even when Config.Reliability.ECC is on (fault injection still
 // applies, via the step-by-step path).
@@ -173,16 +172,18 @@ func (f *Func) RunMulti(dsts []*Bitvector, srcs ...*Bitvector) error {
 	return f.sys.runMultiTagged(Tag{}, f, dsts, srcs)
 }
 
-// runMultiTagged is RunMulti with a request tag.
+// runMultiTagged is RunMulti with a request tag.  Coherence: flush the
+// source rows; destination invalidation hides behind the train's B-group
+// staging, exactly as for built-in bulk ops.
 func (s *System) runMultiTagged(tag Tag, f *Func, dsts []*Bitvector, srcs []*Bitvector) error {
-	if s.serialOnly() {
-		s.execMu.Lock()
-		defer s.execMu.Unlock()
-		return s.runFuncSerial(tag, f, dsts, srcs)
-	}
 	s.execMu.RLock()
 	defer s.execMu.RUnlock()
-	return s.runFuncParallel(tag, f, dsts, srcs)
+	if err := s.checkFuncOperands(f, dsts, srcs); err != nil {
+		return err
+	}
+	run := getOpRunner(s, runFunc, tag)
+	run.f, run.dsts, run.srcs = f, dsts, srcs
+	return s.runOp(run, dsts[0].rows, int64(len(dsts[0].rows))*int64(f.c.NumInputs), false)
 }
 
 // checkFuncOperands validates operand liveness, shape, and aliasing for one
@@ -223,116 +224,6 @@ func (s *System) checkFuncOperands(f *Func, dsts, srcs []*Bitvector) error {
 				return fmt.Errorf("ambit: func %s: %w (output %d overwrites input %d before its last read)", f.name, ErrAliasedOperands, j, i)
 			}
 		}
-	}
-	return nil
-}
-
-// fillFuncRow resolves row r's operand vector into buf (inputs then outputs)
-// and returns the destination physical address that carries the bank and
-// subarray of the whole row group.
-func fillFuncRow(f *Func, dsts, srcs []*Bitvector, r int, buf []dram.RowAddr) dram.PhysAddr {
-	for i, src := range srcs {
-		buf[i] = src.rows[r].Row
-	}
-	for j, d := range dsts {
-		buf[f.c.NumInputs+j] = d.rows[r].Row
-	}
-	return dsts[0].rows[r]
-}
-
-// runFuncSerial is the exclusive-lock path (fault injection, forceSerial).
-// The caller holds execMu exclusively.
-func (s *System) runFuncSerial(tag Tag, f *Func, dsts, srcs []*Bitvector) error {
-	if err := s.checkFuncOperands(f, dsts, srcs); err != nil {
-		return err
-	}
-	nRows := len(dsts[0].rows)
-	// Coherence: flush the source rows; destination invalidation hides
-	// behind the train's B-group staging, exactly as for built-in bulk ops.
-	rows := int64(nRows) * int64(f.c.NumInputs)
-	observing := s.observing()
-	var devBefore dram.Stats
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	opStart := s.stats.ElapsedNS
-	start := opStart + s.coherenceNS(rows)
-	end := start
-	buf := make([]dram.RowAddr, f.c.NumInputs+f.c.NumOutputs)
-	for r := 0; r < nRows; r++ {
-		da := fillFuncRow(f, dsts, srcs, r, buf)
-		lat, err := s.ctrl.ExecuteTrain(f.c.Train, da.Bank, da.Subarray, buf)
-		if err != nil {
-			s.stats.ElapsedNS = end
-			s.stats.RowOps += int64(r)
-			return fmt.Errorf("ambit: func %s row %d: %w", f.name, r, err)
-		}
-		done := s.dev.Bank(da.Bank).Reserve(start, lat)
-		s.utilRecord(tag, da.Bank, done, lat)
-		if done > end {
-			end = done
-		}
-	}
-	s.stats.ElapsedNS = end
-	s.stats.FuncOps++
-	s.stats.RowOps += int64(nRows)
-	if observing {
-		s.observeOp(tag, "func:"+f.name, -1, nRows, opStart, end-opStart, devBefore)
-	}
-	return nil
-}
-
-// runFuncParallel is the sharded fast path: rows grouped by bank, per-bank
-// trains on the worker pool, deterministic merge — mirroring applyParallel.
-// One operand buffer per bank keeps the scheduling path allocation-free.
-// The caller holds execMu for reading.
-func (s *System) runFuncParallel(tag Tag, f *Func, dsts, srcs []*Bitvector) error {
-	if err := s.checkFuncOperands(f, dsts, srcs); err != nil {
-		return err
-	}
-	nRows := len(dsts[0].rows)
-	rows := int64(nRows) * int64(f.c.NumInputs)
-	observing := s.observing()
-	var devBefore dram.Stats
-	s.statsMu.Lock()
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	opStart := s.stats.ElapsedNS
-	start := opStart + s.coherenceNS(rows)
-	s.statsMu.Unlock()
-
-	plan := s.eng.PlanAddrs(dsts[0].rows)
-	banks := plan.Banks()
-	s.eng.LockBanks(banks)
-	ss := s.cfg.Tracer.BeginShards(banks)
-	run := getOpRunner(s)
-	run.kind, run.f, run.dsts, run.srcs = runFunc, f, dsts, srcs
-	run.start, run.ss, run.tag = start, ss, tag
-	res := s.eng.RunPlan(plan, run)
-	putOpRunner(run)
-	ss.MergeAndEmit()
-	s.eng.UnlockBanks(banks)
-	plan.Release()
-
-	end := res.EndNS
-	if end < start {
-		end = start
-	}
-	s.statsMu.Lock()
-	if end > s.stats.ElapsedNS {
-		s.stats.ElapsedNS = end
-	}
-	s.stats.RowOps += int64(res.Completed)
-	if res.Err == nil {
-		s.stats.FuncOps++
-	}
-	s.statsMu.Unlock()
-	if res.Err != nil {
-		return fmt.Errorf("ambit: func %s row %d: %w", f.name, res.ErrRow, res.Err)
-	}
-	if observing {
-		s.observeOp(tag, "func:"+f.name, -1, nRows, opStart, end-opStart, devBefore)
 	}
 	return nil
 }

@@ -63,14 +63,13 @@ func TestFuncDifferential(t *testing.T) {
 		sys  *System
 	}
 	coh := WithCoherenceNSPerRow(2)
+	one := WithExecWorkers(1)
 	modes := []mode{
 		{"parallel", compileTestSystem(t, coh)},
-		{"serial", compileTestSystem(t, coh)},
+		{"one-worker", compileTestSystem(t, coh, one)},
 		{"parallel-traced", compileTestSystem(t, coh, WithTracer(NewTracer(nopTraceSink{})))},
-		{"serial-traced", compileTestSystem(t, coh, WithTracer(NewTracer(nopTraceSink{})))},
+		{"one-worker-traced", compileTestSystem(t, coh, one, WithTracer(NewTracer(nopTraceSink{})))},
 	}
-	modes[1].sys.forceSerial = true
-	modes[3].sys.forceSerial = true
 
 	rng := rand.New(rand.NewSource(42))
 	bits := 2 * int64(modes[0].sys.RowSizeBits()) // two rows: spans two banks
@@ -163,9 +162,10 @@ func TestFuncDifferential(t *testing.T) {
 				}
 			}
 		}
-		// Determinism: serial and parallel agree on the simulated clock.
+		// Determinism: one worker and the full pool agree on the
+		// simulated clock.
 		if s, p := modes[1].sys.ElapsedNS(), modes[0].sys.ElapsedNS(); s != p {
-			t.Fatalf("trial %d: serial clock %v != parallel clock %v", trial, s, p)
+			t.Fatalf("trial %d: one-worker clock %v != parallel clock %v", trial, s, p)
 		}
 	}
 	st := modes[0].sys.Stats()

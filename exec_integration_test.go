@@ -2,13 +2,12 @@ package ambit
 
 // Integration tests for the sharded execution core: parallel dispatch must be
 // a pure host-side optimization — bit-identical data and statistics versus
-// the serial path at any worker count — and partial failures must account the
-// completed work on both paths.
+// the frozen serial reference at any worker count — and partial failures must
+// account the work every bank completed.
 
 import (
 	"errors"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -75,43 +74,11 @@ func execWorkload(t *testing.T, sys *System) [][]uint64 {
 }
 
 // TestParallelExecutionDeterministic runs the same workload on the default
-// (parallel) path, on a 4-worker pool, and on the forced-serial path, and
-// requires bit-identical data and bit-identical statistics — the execution
-// core's central guarantee.
+// worker pool and on 4- and 16-worker pools, and requires bit-identical data
+// and bit-identical statistics to the frozen serial reference — the
+// execution core's central guarantee.
 func TestParallelExecutionDeterministic(t *testing.T) {
-	type outcome struct {
-		data  [][]uint64
-		stats Stats
-	}
-	run := func(workers int, serial bool) outcome {
-		sys, err := NewSystem(DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if workers > 0 {
-			sys.eng.SetWorkers(workers)
-		}
-		sys.forceSerial = serial
-		data := execWorkload(t, sys)
-		return outcome{data: data, stats: sys.Stats()}
-	}
-	want := run(0, true) // serial exclusive path is the reference
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{
-		{"parallel-default", 0},
-		{"parallel-4", 4},
-		{"parallel-16", 16},
-	} {
-		got := run(tc.workers, false)
-		if !reflect.DeepEqual(got.data, want.data) {
-			t.Errorf("%s: data diverged from serial", tc.name)
-		}
-		if !reflect.DeepEqual(got.stats, want.stats) {
-			t.Errorf("%s: stats diverged:\n got %+v\nwant %+v", tc.name, got.stats, want.stats)
-		}
-	}
+	checkSerialRef(t, "exec", 0, 4, 16)
 }
 
 // TestParallelExecutionRaceStress hammers one System from many goroutines —
@@ -119,11 +86,10 @@ func TestParallelExecutionDeterministic(t *testing.T) {
 // under a widened worker pool.  Run with -race this is the data-race gate for
 // the execMu/statsMu/bank-shard split.
 func TestParallelExecutionRaceStress(t *testing.T) {
-	sys, err := NewSystem(DefaultConfig())
+	sys, err := New(WithExecWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.eng.SetWorkers(4)
 	rowBits := int64(sys.RowSizeBits())
 	bits := 8 * rowBits
 	shared := sys.MustAlloc(bits)
@@ -205,34 +171,7 @@ func armUncorrectable(t *testing.T) (*System, *Bitvector, *Bitvector, *Bitvector
 	return sys, a, b, d
 }
 
-// TestPartialFailureAccountingSerial checks the serial path's prefix
-// semantics: a failure at row 2 leaves rows 0-1 executed, counted in RowOps,
-// and their bank time reflected in ElapsedNS.
-func TestPartialFailureAccountingSerial(t *testing.T) {
-	sys, a, b, d := armUncorrectable(t)
-	sys.forceSerial = true
-	sys.ResetStats()
-	err := sys.And(d, a, b)
-	if !errors.Is(err, ErrUncorrectable) {
-		t.Fatalf("And error = %v, want ErrUncorrectable", err)
-	}
-	st := sys.Stats()
-	if st.RowOps != 2 {
-		t.Errorf("RowOps = %d, want 2 (completed prefix)", st.RowOps)
-	}
-	if st.ElapsedNS <= 0 {
-		t.Errorf("ElapsedNS = %v, want > 0 (prefix time must be charged)", st.ElapsedNS)
-	}
-	if st.UncorrectableRows != 1 {
-		t.Errorf("UncorrectableRows = %d, want 1", st.UncorrectableRows)
-	}
-	if st.TotalBulkOps() != 0 {
-		t.Errorf("TotalBulkOps = %d, want 0 (op failed)", st.TotalBulkOps())
-	}
-}
-
-// TestPartialFailureAccountingParallel checks the parallel path's per-bank
-// prefix semantics: row 2's bank fails, the other five banks complete, and
+// TestPartialFailureAccountingParallel checks the per-bank prefix semantics: row 2's bank fails, the other five banks complete, and
 // the merge reports the failing row with the other rows' work accounted.
 func TestPartialFailureAccountingParallel(t *testing.T) {
 	sys, a, b, d := armUncorrectable(t)

@@ -259,10 +259,10 @@ func (c *Controller) emitFusedTrain(op Op, bank, sub int, dk, di, dj dram.RowAdd
 		}
 		return fixed
 	}
-	// Under a ShardSet (the parallel path) the whole train is filled into
-	// the bank's capture shard in place — no per-event dispatch or copying.
-	// Otherwise (traced serial path) events go through the ordinary
-	// emitCmd/Emit pipeline; both produce identical bytes.
+	// Under a ShardSet (every System execution) the whole train is filled
+	// into the bank's capture shard in place — no per-event dispatch or
+	// copying.  Otherwise (the controller driven directly) events go through
+	// the ordinary emitCmd/Emit pipeline; both produce identical bytes.
 	if cb := c.tr.CommandBuffer(bank); cb.Active() {
 		evs := cb.Extend(len(ct.steps))
 		for i := range ct.steps {

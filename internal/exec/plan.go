@@ -1,12 +1,10 @@
 package exec
 
-// Zero-allocation plan/runner dispatch.  Run + GroupByBank (exec.go) remain
-// the closure-based API; the hot direct-op path uses PlanAddrs + RunPlan
-// instead:
+// Zero-allocation plan/runner dispatch:
 //
 //   - A Plan is a pooled, pre-partitioned view of one operation's rows
-//     grouped by bank (the same count-sort as GroupByBank, but into recycled
-//     backing arrays — no per-operation allocation in steady state).
+//     grouped by bank (a count-sort into recycled backing arrays — no
+//     per-operation allocation in steady state).
 //   - A GroupRunner executes one whole bank group at a time, which lets
 //     callers batch all of a bank's rows into a single fused evaluation
 //     (see controller.ExecuteOpRowsFused) instead of row-at-a-time calls.
@@ -15,9 +13,9 @@ package exec
 //     than max(NumCPU, GOMAXPROCS)); enqueueing work is a channel send, so
 //     the steady-state parallel dispatch allocates nothing either.
 //
-// Determinism and prefix semantics are identical to Run: each group runs on
-// one goroutine with rows in ascending index order, results land in
-// pre-sized slots, and the fold picks the lowest-indexed failing row.
+// Each group runs on one goroutine with rows in ascending index order,
+// results land in pre-sized slots, and the fold picks the lowest-indexed
+// failing row, so the merged Result does not depend on the interleaving.
 
 import (
 	"runtime"
@@ -67,6 +65,12 @@ var planPool = sync.Pool{New: func() any { return new(Plan) }}
 // within each group — the sequential iteration order, which keeps per-bank
 // Reserve chains bit-identical to serial execution.
 func (e *Engine) PlanAddrs(addrs []dram.PhysAddr) *Plan {
+	return e.PlanRange(addrs, 0, len(addrs))
+}
+
+// PlanRange is PlanAddrs restricted to the indices lo..hi-1: the groups hold
+// indices into the whole of addrs, not into the range.
+func (e *Engine) PlanRange(addrs []dram.PhysAddr, lo, hi int) *Plan {
 	p := planPool.Get().(*Plan)
 	nb := len(e.shards)
 	if cap(p.counts) < nb {
@@ -76,7 +80,7 @@ func (e *Engine) PlanAddrs(addrs []dram.PhysAddr) *Plan {
 	for i := range p.counts {
 		p.counts[i] = 0
 	}
-	for i := range addrs {
+	for i := lo; i < hi; i++ {
 		p.counts[addrs[i].Bank]++
 	}
 	p.banks = p.banks[:0]
@@ -85,8 +89,8 @@ func (e *Engine) PlanAddrs(addrs []dram.PhysAddr) *Plan {
 			p.banks = append(p.banks, b)
 		}
 	}
-	if cap(p.rowIdx) < len(addrs) {
-		p.rowIdx = make([]int, 0, len(addrs))
+	if cap(p.rowIdx) < hi-lo {
+		p.rowIdx = make([]int, 0, hi-lo)
 	}
 	p.rowIdx = p.rowIdx[:0]
 	if cap(p.groups) < len(p.banks) {
@@ -101,7 +105,7 @@ func (e *Engine) PlanAddrs(addrs []dram.PhysAddr) *Plan {
 		off += n
 	}
 	p.rowIdx = p.rowIdx[:off]
-	for i := range addrs {
+	for i := lo; i < hi; i++ {
 		gi := p.counts[addrs[i].Bank]
 		g := &p.groups[gi]
 		g.Rows = append(g.Rows, i)
@@ -131,10 +135,19 @@ func (p *Plan) Release() {
 }
 
 // RunPlan executes every group of the plan through r — rows ascending within
-// a group, groups concurrently on up to min(Workers, len(groups)) goroutines
-// from the shared worker pool — and merges the outcome exactly like Run.
-// The caller must already hold the plan's bank shards (LockBanks(p.Banks())).
-func (e *Engine) RunPlan(p *Plan, r GroupRunner) Result {
+// a group, groups concurrently on up to min(workers, len(groups)) goroutines
+// from the shared worker pool — and merges the outcome.  The caller must
+// already hold the plan's bank shards (LockBanks(p.Banks())) or exclude every
+// other execution.
+func (e *Engine) RunPlan(p *Plan, r GroupRunner) Result { return runPlan(p, r, e.workers) }
+
+// RunPlanSerial is RunPlan on the calling goroutine alone: groups run one
+// after another in ascending bank order.  Work whose trains reach into banks
+// other than their group's (a cross-bank copy reads its source bank) needs
+// it, under a lock that excludes every other execution.
+func (e *Engine) RunPlanSerial(p *Plan, r GroupRunner) Result { return runPlan(p, r, 1) }
+
+func runPlan(p *Plan, r GroupRunner, workers int) Result {
 	res := Result{ErrRow: -1}
 	if len(p.groups) == 0 {
 		return res
@@ -145,7 +158,7 @@ func (e *Engine) RunPlan(p *Plan, r GroupRunner) Result {
 	rs.results = p.results
 	rs.next.Store(0)
 
-	if w := min(e.workers, len(p.groups)); w <= 1 {
+	if w := min(workers, len(p.groups)); w <= 1 {
 		rs.drain()
 	} else {
 		ensureWorkers(w - 1)

@@ -19,10 +19,10 @@
 //
 // The resulting Graph is a DAG whose edges always point from a lower op
 // index to a higher one (program order), so iterating ops in index order is
-// a valid topological order.  The batch dispatcher in the root package uses
-// the graph twice: once to fan the host-side functional simulation out
-// across a goroutine worker pool, and once to compute the deterministic
-// per-bank timeline schedule.
+// a valid topological order.  Batch.Run in the root package uses the graph
+// for timing only: it computes the deterministic per-bank timeline schedule
+// and the report's wave count.  (The functional simulation needs no graph:
+// it runs one recording-order stream per bank.)
 package program
 
 import "ambit/internal/dram"
@@ -44,7 +44,7 @@ type Op struct {
 type Graph struct {
 	deps  [][]int
 	succs [][]int
-	level []int
+	level []int // dependency depth: 0 without deps, else 1 + max over deps
 	waves int
 }
 
@@ -110,11 +110,6 @@ func (g *Graph) Deps(i int) []int { return g.deps[i] }
 // not modify the returned slice.
 func (g *Graph) Succs(i int) []int { return g.succs[i] }
 
-// Level returns op i's dependency depth: 0 for ops with no dependencies,
-// otherwise 1 + the maximum level among its dependencies.  Ops of equal
-// level never conflict and may execute concurrently.
-func (g *Graph) Level(i int) int { return g.level[i] }
-
 // Waves returns the number of dependency levels — the length of the longest
 // dependency chain.  A program of N ops with Waves() == 1 is fully parallel;
 // Waves() == N is fully serial.
@@ -123,16 +118,6 @@ func (g *Graph) Waves() int {
 		return 0
 	}
 	return g.waves
-}
-
-// Indegrees returns a fresh slice of per-op dependency counts, the working
-// state a dataflow dispatcher decrements as ops complete.
-func (g *Graph) Indegrees() []int {
-	in := make([]int, len(g.deps))
-	for i, d := range g.deps {
-		in[i] = len(d)
-	}
-	return in
 }
 
 // sortInts is an insertion sort: dep lists are tiny and this keeps the

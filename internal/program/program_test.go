@@ -30,8 +30,8 @@ func TestIndependentOpsHaveNoEdges(t *testing.T) {
 		if len(g.Deps(i)) != 0 {
 			t.Errorf("op %d has deps %v, want none", i, g.Deps(i))
 		}
-		if g.Level(i) != 0 {
-			t.Errorf("op %d level %d, want 0", i, g.Level(i))
+		if g.level[i] != 0 {
+			t.Errorf("op %d level %d, want 0", i, g.level[i])
 		}
 	}
 	if g.Waves() != 1 {
@@ -118,27 +118,6 @@ func TestWriteClearsReaderSet(t *testing.T) {
 	}
 }
 
-func TestIndegreesMatchDeps(t *testing.T) {
-	x, y := row(0, 0), row(0, 1)
-	ops := []Op{
-		{Writes: []dram.PhysAddr{x}},
-		{Writes: []dram.PhysAddr{y}},
-		{Reads: []dram.PhysAddr{x, y}, Writes: []dram.PhysAddr{row(0, 2)}},
-	}
-	g := Build(ops)
-	in := g.Indegrees()
-	want := []int{0, 0, 2}
-	if !reflect.DeepEqual(in, want) {
-		t.Errorf("Indegrees = %v, want %v", in, want)
-	}
-	// The returned slice is working state: mutating it must not affect
-	// the graph.
-	in[2] = 0
-	if len(g.Deps(2)) != 2 {
-		t.Error("Indegrees aliases graph state")
-	}
-}
-
 func TestLevelsFormSchedulableWaves(t *testing.T) {
 	// Diamond: op0 -> {op1, op2} -> op3.
 	x, y, z := row(0, 0), row(0, 1), row(0, 2)
@@ -149,7 +128,7 @@ func TestLevelsFormSchedulableWaves(t *testing.T) {
 		{Reads: []dram.PhysAddr{y, z}},
 	}
 	g := Build(ops)
-	levels := []int{g.Level(0), g.Level(1), g.Level(2), g.Level(3)}
+	levels := []int{g.level[0], g.level[1], g.level[2], g.level[3]}
 	if !reflect.DeepEqual(levels, []int{0, 1, 1, 2}) {
 		t.Errorf("levels = %v, want [0 1 1 2]", levels)
 	}
@@ -159,8 +138,8 @@ func TestLevelsFormSchedulableWaves(t *testing.T) {
 	// Every dep must sit on a strictly lower level.
 	for i := 0; i < g.N(); i++ {
 		for _, d := range g.Deps(i) {
-			if g.Level(d) >= g.Level(i) {
-				t.Errorf("dep %d (level %d) not below op %d (level %d)", d, g.Level(d), i, g.Level(i))
+			if g.level[d] >= g.level[i] {
+				t.Errorf("dep %d (level %d) not below op %d (level %d)", d, g.level[d], i, g.level[i])
 			}
 		}
 	}

@@ -1,10 +1,6 @@
 package ambit
 
-import (
-	"fmt"
-
-	"ambit/internal/dram"
-)
+import "fmt"
 
 // Many-row majority: the MAJ-X primitive of the 2024 simultaneous-activation
 // characterization papers, surfaced as a first-class System operation.  Each
@@ -37,14 +33,19 @@ func (s *System) Maj(dst *Bitvector, srcs ...*Bitvector) error {
 // operation's own injections when requests serialize, and a conserved blend
 // under concurrent clients (the same caveat as span energy attribution).
 func (s *System) majTagged(tag Tag, dst *Bitvector, srcs []*Bitvector) error {
-	if s.serialOnly() {
-		s.execMu.Lock()
-		defer s.execMu.Unlock()
-		return s.majSerial(tag, dst, srcs)
-	}
 	s.execMu.RLock()
 	defer s.execMu.RUnlock()
-	return s.majParallel(tag, dst, srcs)
+	if err := s.checkMajOperands(dst, srcs); err != nil {
+		return err
+	}
+	fmEvents, fmBits, fmAttr := s.majFaultsBefore(tag)
+	run := getOpRunner(s, runMaj, tag)
+	run.dst, run.srcs = dst, srcs
+	err := s.runOp(run, dst.rows, int64(len(dst.rows))*int64(len(srcs)+1), false)
+	if fmAttr {
+		s.majFaultsCommit(tag, fmEvents, fmBits)
+	}
+	return err
 }
 
 // majFaultsBefore snapshots the fault model's many-row injection counters
@@ -88,118 +89,6 @@ func (s *System) checkMajOperands(dst *Bitvector, srcs []*Bitvector) error {
 				return fmt.Errorf("ambit: Maj: duplicate source vector (a repeated operand would weight the majority; copy it first)")
 			}
 		}
-	}
-	return nil
-}
-
-// majRowAddrs collects the per-row controller arguments for row r.
-func majRowAddrs(dst *Bitvector, srcs []*Bitvector, r int, buf []dram.RowAddr) (da dram.PhysAddr, srcRows []dram.RowAddr) {
-	da = dst.rows[r]
-	srcRows = buf[:0]
-	for _, a := range srcs {
-		srcRows = append(srcRows, a.rows[r].Row)
-	}
-	return da, srcRows
-}
-
-// majSerial is the exclusive-lock path; the caller holds execMu exclusively.
-func (s *System) majSerial(tag Tag, dst *Bitvector, srcs []*Bitvector) error {
-	if err := s.checkMajOperands(dst, srcs); err != nil {
-		return err
-	}
-	rows := int64(len(dst.rows)) * int64(len(srcs)+1)
-	observing := s.observing()
-	var devBefore dram.Stats
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	fmEvents, fmBits, fmAttr := s.majFaultsBefore(tag)
-	opStart := s.stats.ElapsedNS
-	start := s.stats.ElapsedNS + s.coherenceNS(rows)
-
-	end := start
-	buf := make([]dram.RowAddr, 0, len(srcs))
-	for r := range dst.rows {
-		da, srcRows := majRowAddrs(dst, srcs, r, buf)
-		lat, err := s.ctrl.ExecuteMaj(da.Bank, da.Subarray, da.Row, srcRows, s.majScratchBase, s.majW)
-		if err != nil {
-			// Partial failure: the completed prefix [0, r) reserved bank
-			// time; the clock advances to its end (see applySerial).
-			s.stats.ElapsedNS = end
-			s.stats.RowOps += int64(r)
-			return fmt.Errorf("ambit: Maj row %d: %w", r, err)
-		}
-		done := s.dev.Bank(da.Bank).Reserve(start, lat)
-		s.utilRecord(tag, da.Bank, done, lat)
-		if done > end {
-			end = done
-		}
-	}
-	s.stats.ElapsedNS = end
-	s.stats.MajOps++
-	s.stats.RowOps += int64(len(dst.rows))
-	if fmAttr {
-		s.majFaultsCommit(tag, fmEvents, fmBits)
-	}
-	if observing {
-		s.observeOp(tag, "maj", -1, len(dst.rows), opStart, end-opStart, devBefore)
-	}
-	return nil
-}
-
-// majParallel is the sharded fast path, mirroring applyParallel: rows
-// grouped by bank, per-bank trains on the worker pool, deterministic merge.
-// The caller holds execMu for reading.
-func (s *System) majParallel(tag Tag, dst *Bitvector, srcs []*Bitvector) error {
-	if err := s.checkMajOperands(dst, srcs); err != nil {
-		return err
-	}
-	rows := int64(len(dst.rows)) * int64(len(srcs)+1)
-	observing := s.observing()
-	fmEvents, fmBits, fmAttr := s.majFaultsBefore(tag)
-	var devBefore dram.Stats
-	s.statsMu.Lock()
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	opStart := s.stats.ElapsedNS
-	start := opStart + s.coherenceNS(rows)
-	s.statsMu.Unlock()
-
-	plan := s.eng.PlanAddrs(dst.rows)
-	banks := plan.Banks()
-	s.eng.LockBanks(banks)
-	ss := s.cfg.Tracer.BeginShards(banks)
-	run := getOpRunner(s)
-	run.kind, run.dst, run.srcs = runMaj, dst, srcs
-	run.start, run.ss, run.tag = start, ss, tag
-	res := s.eng.RunPlan(plan, run)
-	putOpRunner(run)
-	ss.MergeAndEmit()
-	s.eng.UnlockBanks(banks)
-	plan.Release()
-
-	end := res.EndNS
-	if end < start {
-		end = start // every row failed; the coherence flush still happened
-	}
-	s.statsMu.Lock()
-	if end > s.stats.ElapsedNS {
-		s.stats.ElapsedNS = end
-	}
-	s.stats.RowOps += int64(res.Completed)
-	if res.Err == nil {
-		s.stats.MajOps++
-	}
-	s.statsMu.Unlock()
-	if fmAttr {
-		s.majFaultsCommit(tag, fmEvents, fmBits)
-	}
-	if res.Err != nil {
-		return fmt.Errorf("ambit: Maj row %d: %w", res.ErrRow, res.Err)
-	}
-	if observing {
-		s.observeOp(tag, "maj", -1, len(dst.rows), opStart, end-opStart, devBefore)
 	}
 	return nil
 }

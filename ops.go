@@ -1,13 +1,10 @@
 package ambit
 
 import (
-	"errors"
 	"fmt"
-	"math/bits"
 
 	"ambit/internal/controller"
 	"ambit/internal/dram"
-	"ambit/internal/ecc"
 )
 
 // checkOperands validates that every operand is non-nil, belongs to this
@@ -68,9 +65,7 @@ func (s *System) checkApplyOperands(op controller.Op, dst, a, b *Bitvector) erro
 // operands share a (bank, subarray) slot by the allocator's construction, so
 // every row-level operation is a pure Figure-8 command train; rows mapped to
 // different banks execute in parallel (Section 7's bank-level parallelism),
-// dispatched through the shared execution core (internal/exec).  The
-// parallel and serial paths are deterministic equals: identical results,
-// identical Stats.
+// dispatched through the shared execution core (runOp).
 func (s *System) apply(op controller.Op, dst, a, b *Bitvector) error {
 	return s.applyTagged(Tag{}, op, dst, a, b)
 }
@@ -78,183 +73,24 @@ func (s *System) apply(op controller.Op, dst, a, b *Bitvector) error {
 // applyTagged is apply with a request tag: the tag flows to the op span, the
 // utilization collector, and the reliability commit points (tag.go).
 func (s *System) applyTagged(tag Tag, op controller.Op, dst, a, b *Bitvector) error {
-	if s.serialOnly() {
-		s.execMu.Lock()
-		defer s.execMu.Unlock()
-		return s.applySerial(tag, op, dst, a, b)
-	}
 	s.execMu.RLock()
 	defer s.execMu.RUnlock()
-	return s.applyParallel(tag, op, dst, a, b)
-}
-
-// applySerial is the exclusive-lock path: the forceSerial test hook and the
-// determinism baseline the differential tests compare the parallel path
-// against (fault models included — per-(bank, subarray) RNG streams make the
-// two paths draw identically).  The caller holds execMu exclusively.
-func (s *System) applySerial(tag Tag, op controller.Op, dst, a, b *Bitvector) error {
 	if err := s.checkApplyOperands(op, dst, a, b); err != nil {
 		return err
 	}
+	run := getOpRunner(s, runBulk, tag)
+	run.op, run.dst, run.a, run.b, run.ecc = op, dst, a, b, s.cfg.Reliability.ECC
 	// Cache coherence: flush dirty source lines, invalidate destination
 	// lines (Section 5.4.4).  Destination invalidation proceeds in
 	// parallel with the operation; source flushes precede it.
-	rows := int64(len(dst.rows)) * int64(op.InputRows())
-	observing := s.observing()
-	var devBefore dram.Stats
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	opStart := s.stats.ElapsedNS
-	start := s.stats.ElapsedNS + s.coherenceNS(rows)
-
-	end := start
-	for r := range dst.rows {
-		da, aa := dst.rows[r], a.rows[r]
-		var ba dram.RowAddr
-		if !op.Unary() {
-			ba = b.rows[r].Row
-		}
-		var done float64
-		if s.cfg.Reliability.ECC {
-			rr, err := s.execRowReliable(op, da, aa.Row, ba)
-			s.accountReliabilityLocked(tag, da, rr)
-			if err != nil {
-				if errors.Is(err, ErrUncorrectable) {
-					s.stats.UncorrectableRows++
-					if m := s.cfg.Metrics; m != nil {
-						m.Add("uncorrectable_rows", 1)
-					}
-					s.addLabeledNS(tag, "uncorrectable_rows", 1)
-				}
-				// Partial failure: rows before r completed and reserved
-				// bank time; account the completed prefix (see below).
-				s.stats.ElapsedNS = end
-				s.stats.RowOps += int64(r)
-				return fmt.Errorf("ambit: %v row %d: %w", op, r, err)
-			}
-			done = s.dev.Bank(da.Bank).Reserve(start, rr.LatencyNS)
-			s.utilRecord(tag, da.Bank, done, rr.LatencyNS)
-		} else {
-			var err error
-			done, err = s.scheduleRow(tag, op, da, aa.Row, ba, start)
-			if err != nil {
-				// Partial failure: the completed prefix [0, r) already
-				// reserved bank time, so the clock must advance to its
-				// end (and RowOps count it) even though the op failed.
-				s.stats.ElapsedNS = end
-				s.stats.RowOps += int64(r)
-				return fmt.Errorf("ambit: %v row %d: %w", op, r, err)
-			}
-		}
-		if done > end {
-			end = done
-		}
-	}
-	s.stats.ElapsedNS = end
-	s.stats.BulkOps[op]++
-	s.stats.RowOps += int64(len(dst.rows))
-	if observing {
-		s.observeOp(tag, op.String(), -1, len(dst.rows), opStart, end-opStart, devBefore)
-	}
-	return nil
-}
-
-// scheduleRow executes one row-level command train, reserves the bank's
-// timeline from `start`, and records the busy interval into the utilization
-// collector.  Semantically controller.ScheduleOp, inlined so the per-row
-// latency reaches the collector.
-func (s *System) scheduleRow(tag Tag, op controller.Op, da dram.PhysAddr, aRow, bRow dram.RowAddr, start float64) (float64, error) {
-	lat, err := s.ctrl.ExecuteOp(op, da.Bank, da.Subarray, da.Row, aRow, bRow)
-	if err != nil {
-		return 0, err
-	}
-	done := s.dev.Bank(da.Bank).Reserve(start, lat)
-	s.utilRecord(tag, da.Bank, done, lat)
-	return done, nil
-}
-
-// applyParallel is the sharded fast path: rows grouped by bank, per-bank
-// command trains on the worker pool, deterministic merge.  The caller holds
-// execMu for reading.  Observability rides along losslessly: command events
-// are captured into per-bank shards and merged into serial emission order
-// after the barrier (obs.ShardSet), metrics go to the atomic registry, and
-// the op span is emitted after the merge — a single-client traced run is
-// byte-identical to the serial path.
-func (s *System) applyParallel(tag Tag, op controller.Op, dst, a, b *Bitvector) error {
-	if err := s.checkApplyOperands(op, dst, a, b); err != nil {
-		return err
-	}
-	rows := int64(len(dst.rows)) * int64(op.InputRows())
-	observing := s.observing()
-	var devBefore dram.Stats
-	s.statsMu.Lock()
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	opStart := s.stats.ElapsedNS
-	start := opStart + s.coherenceNS(rows)
-	s.statsMu.Unlock()
-
-	plan := s.eng.PlanAddrs(dst.rows)
-	banks := plan.Banks()
-	s.eng.LockBanks(banks)
-	ss := s.cfg.Tracer.BeginShards(banks)
-	run := getOpRunner(s)
-	run.kind, run.op, run.dst, run.a, run.b = runBulk, op, dst, a, b
-	run.start, run.ss, run.ecc, run.tag = start, ss, s.cfg.Reliability.ECC, tag
-	res := s.eng.RunPlan(plan, run)
-	putOpRunner(run)
-	ss.MergeAndEmit()
-	s.eng.UnlockBanks(banks)
-	plan.Release()
-
-	end := res.EndNS
-	if end < start {
-		end = start // every row failed; the coherence flush still happened
-	}
-	s.statsMu.Lock()
-	if end > s.stats.ElapsedNS {
-		s.stats.ElapsedNS = end
-	}
-	s.stats.RowOps += int64(res.Completed)
-	if res.Err == nil {
-		s.stats.BulkOps[op]++
-	} else if errors.Is(res.Err, ErrUncorrectable) {
-		s.stats.UncorrectableRows++
-		if m := s.cfg.Metrics; m != nil {
-			m.Add("uncorrectable_rows", 1)
-		}
-		s.addLabeledNS(tag, "uncorrectable_rows", 1)
-	}
-	s.statsMu.Unlock()
-	if res.Err != nil {
-		// Per-bank prefix semantics: the failing bank stops at its failing
-		// row; other banks complete their rows (they are independent).
-		return fmt.Errorf("ambit: %v row %d: %w", op, res.ErrRow, res.Err)
-	}
-	if observing {
-		s.observeOp(tag, op.String(), -1, len(dst.rows), opStart, end-opStart, devBefore)
-	}
-	return nil
-}
-
-// execRowReliable runs one row-level command train under the TMR
-// execute-verify-retry policy (DESIGN.md "Reliability model"), using the two
-// reserved per-subarray scratch rows as replica space and internal/ecc's
-// majority vote as the decoder.  The caller holds execMu (exclusively, or
-// for reading plus the destination's bank shard).
-func (s *System) execRowReliable(op controller.Op, da dram.PhysAddr, aRow, bRow dram.RowAddr) (controller.RowResult, error) {
-	s1, s2 := s.scratchRows()
-	return s.ctrl.ExecuteOpReliable(op, da.Bank, da.Subarray, da.Row, aRow, bRow, s1, s2, s.cfg.Reliability, ecc.VoteRows)
+	return s.runOp(run, dst.rows, int64(len(dst.rows))*int64(op.InputRows()), false)
 }
 
 // accountReliabilityLocked folds one row's reliability outcome into the
 // stats and the quarantine score of the destination row, and — when the
 // operation carries a tenant tag — into the per-namespace labeled shadow
 // counters, so ECC corrections and retries are attributable to the workload
-// that incurred them.  The caller holds execMu exclusively, or statsMu on
-// the parallel path.
+// that incurred them.  The caller holds execMu exclusively, or statsMu.
 func (s *System) accountReliabilityLocked(tag Tag, da dram.PhysAddr, rr controller.RowResult) {
 	s.stats.CorrectedBits += rr.CorrectedBits
 	s.stats.Retries += rr.Retries
@@ -311,116 +147,57 @@ func (s *System) Apply(op controller.Op, dst, a, b *Bitvector) error { return s.
 // are co-located (the normal case under this allocator), PSM otherwise.
 func (s *System) Copy(dst, src *Bitvector) error { return s.copyTagged(Tag{}, dst, src) }
 
-// copyTagged is Copy with a request tag.
+// copyTagged is Copy with a request tag.  Coherence: flush the source rows
+// and invalidate the destination rows.  Unlike a bulk bitwise train (which
+// buffers through the B-group first), RowClone writes the destination in its
+// very first command, so the destination invalidation cannot be hidden behind
+// the operation (Section 5.4.4; DESIGN.md "Coherence model").
 func (s *System) copyTagged(tag Tag, dst, src *Bitvector) error {
-	if s.serialOnly() {
-		s.execMu.Lock()
-		defer s.execMu.Unlock()
-		return s.copySerial(tag, dst, src)
-	}
 	s.execMu.RLock()
-	// A cross-bank row pair (PSM copy through the channel) touches two
-	// banks per train; the parallel path shards by destination bank only,
-	// so such copies fall back to the exclusive path.
-	if err := s.checkOperands("Copy", dst, src); err != nil {
+	if err := s.checkCopyOperands(dst, src); err != nil {
 		s.execMu.RUnlock()
 		return err
 	}
-	if len(dst.rows) != len(src.rows) {
+	serial := crossBank(dst, src)
+	if serial {
+		// A cross-bank row pair (a PSM copy over the internal bus) opens
+		// rows in two banks, which its destination bank's shard alone does
+		// not cover: the copy is an epoch barrier, running under the
+		// exclusive lock with its bank groups one after another.
 		s.execMu.RUnlock()
-		return fmt.Errorf("ambit: Copy: %w (%d vs %d rows)", ErrShapeMismatch, len(dst.rows), len(src.rows))
-	}
-	for r := range dst.rows {
-		if dst.rows[r].Bank != src.rows[r].Bank {
-			s.execMu.RUnlock()
-			s.execMu.Lock()
-			defer s.execMu.Unlock()
-			return s.copySerial(tag, dst, src)
+		s.execMu.Lock()
+		defer s.execMu.Unlock()
+		if err := s.checkCopyOperands(dst, src); err != nil {
+			return err
 		}
+	} else {
+		defer s.execMu.RUnlock()
 	}
-	defer s.execMu.RUnlock()
+	run := getOpRunner(s, runCopy, tag)
+	run.dst, run.a = dst, src
+	return s.runOp(run, dst.rows, 2*int64(len(dst.rows)), serial)
+}
 
-	observing := s.observing()
-	var devBefore dram.Stats
-	s.statsMu.Lock()
-	if observing {
-		devBefore = s.dev.Stats()
+// checkCopyOperands validates operand liveness and row counts for one Copy.
+// The caller holds execMu (read or exclusive).
+func (s *System) checkCopyOperands(dst, src *Bitvector) error {
+	if err := s.checkOperands("Copy", dst, src); err != nil {
+		return err
 	}
-	opStart := s.stats.ElapsedNS
-	start := opStart + s.coherenceNS(2*int64(len(dst.rows)))
-	s.statsMu.Unlock()
-	plan := s.eng.PlanAddrs(dst.rows)
-	banks := plan.Banks()
-	s.eng.LockBanks(banks)
-	ss := s.cfg.Tracer.BeginShards(banks)
-	run := getOpRunner(s)
-	run.kind, run.dst, run.a = runCopy, dst, src
-	run.start, run.ss, run.tag = start, ss, tag
-	res := s.eng.RunPlan(plan, run)
-	putOpRunner(run)
-	ss.MergeAndEmit()
-	s.eng.UnlockBanks(banks)
-	plan.Release()
-
-	end := res.EndNS
-	if end < start {
-		end = start
-	}
-	s.statsMu.Lock()
-	if end > s.stats.ElapsedNS {
-		s.stats.ElapsedNS = end
-	}
-	s.stats.Copies += int64(res.Completed)
-	s.statsMu.Unlock()
-	if res.Err != nil {
-		return fmt.Errorf("ambit: Copy row %d: %w", res.ErrRow, res.Err)
-	}
-	if observing {
-		s.observeOp(tag, "copy", -1, len(dst.rows), opStart, end-opStart, devBefore)
+	if len(dst.rows) != len(src.rows) {
+		return fmt.Errorf("ambit: Copy: %w (%d vs %d rows)", ErrShapeMismatch, len(dst.rows), len(src.rows))
 	}
 	return nil
 }
 
-// copySerial is Copy's exclusive-lock path; the caller holds execMu.
-func (s *System) copySerial(tag Tag, dst, src *Bitvector) error {
-	if err := s.checkOperands("Copy", dst, src); err != nil {
-		return err
-	}
-	if len(dst.rows) != len(src.rows) {
-		return fmt.Errorf("ambit: Copy: %w (%d vs %d rows)", ErrShapeMismatch, len(dst.rows), len(src.rows))
-	}
-	// Coherence: flush the source rows and invalidate the destination
-	// rows.  Unlike a bulk bitwise train (which buffers through the
-	// B-group first), RowClone writes the destination in its very first
-	// command, so the destination invalidation cannot be hidden behind
-	// the operation (Section 5.4.4; DESIGN.md "Coherence model").
-	observing := s.observing()
-	var devBefore dram.Stats
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	opStart := s.stats.ElapsedNS
-	start := s.stats.ElapsedNS + s.coherenceNS(2*int64(len(dst.rows)))
-	end := start
+// crossBank reports whether some row pair of a copy lies in two banks.
+func crossBank(dst, src *Bitvector) bool {
 	for r := range dst.rows {
-		_, lat, err := s.rc.Copy(src.rows[r], dst.rows[r])
-		if err != nil {
-			s.stats.ElapsedNS = end
-			s.stats.Copies += int64(r)
-			return fmt.Errorf("ambit: Copy row %d: %w", r, err)
-		}
-		done := s.dev.Bank(dst.rows[r].Bank).Reserve(start, lat)
-		s.utilRecord(tag, dst.rows[r].Bank, done, lat)
-		if done > end {
-			end = done
+		if dst.rows[r].Bank != src.rows[r].Bank {
+			return true
 		}
 	}
-	s.stats.ElapsedNS = end
-	s.stats.Copies += int64(len(dst.rows))
-	if observing {
-		s.observeOp(tag, "copy", -1, len(dst.rows), opStart, end-opStart, devBefore)
-	}
-	return nil
+	return false
 }
 
 // Fill sets every bit of v to the given value using RowClone from the
@@ -428,99 +205,18 @@ func (s *System) copySerial(tag Tag, dst, src *Bitvector) error {
 // of Section 8.4.2 and the row-initialization primitive of Section 3.4.
 func (s *System) Fill(v *Bitvector, bit bool) error { return s.fillTagged(Tag{}, v, bit) }
 
-// fillTagged is Fill with a request tag.
+// fillTagged is Fill with a request tag.  Coherence: invalidate the
+// destination rows; the control-row source lives only in DRAM and needs no
+// flush (DESIGN.md "Coherence model").
 func (s *System) fillTagged(tag Tag, v *Bitvector, bit bool) error {
-	if s.serialOnly() {
-		s.execMu.Lock()
-		defer s.execMu.Unlock()
-		return s.fillSerial(tag, v, bit)
-	}
 	s.execMu.RLock()
 	defer s.execMu.RUnlock()
 	if err := s.checkOperands("Fill", v); err != nil {
 		return err
 	}
-	observing := s.observing()
-	var devBefore dram.Stats
-	s.statsMu.Lock()
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	opStart := s.stats.ElapsedNS
-	start := opStart + s.coherenceNS(int64(len(v.rows)))
-	s.statsMu.Unlock()
-	plan := s.eng.PlanAddrs(v.rows)
-	banks := plan.Banks()
-	s.eng.LockBanks(banks)
-	ss := s.cfg.Tracer.BeginShards(banks)
-	run := getOpRunner(s)
-	run.kind, run.dst, run.fill = runFill, v, bit
-	run.start, run.ss, run.tag = start, ss, tag
-	res := s.eng.RunPlan(plan, run)
-	putOpRunner(run)
-	ss.MergeAndEmit()
-	s.eng.UnlockBanks(banks)
-	plan.Release()
-
-	end := res.EndNS
-	if end < start {
-		end = start
-	}
-	s.statsMu.Lock()
-	if end > s.stats.ElapsedNS {
-		s.stats.ElapsedNS = end
-	}
-	s.stats.Copies += int64(res.Completed)
-	s.statsMu.Unlock()
-	if res.Err != nil {
-		return fmt.Errorf("ambit: Fill: %w", res.Err)
-	}
-	if observing {
-		s.observeOp(tag, "fill", -1, len(v.rows), opStart, end-opStart, devBefore)
-	}
-	return nil
-}
-
-// fillSerial is Fill's exclusive-lock path; the caller holds execMu.
-func (s *System) fillSerial(tag Tag, v *Bitvector, bit bool) error {
-	if err := s.checkOperands("Fill", v); err != nil {
-		return err
-	}
-	// Coherence: invalidate the destination rows; the control-row source
-	// lives only in DRAM and needs no flush (DESIGN.md "Coherence model").
-	observing := s.observing()
-	var devBefore dram.Stats
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	opStart := s.stats.ElapsedNS
-	start := s.stats.ElapsedNS + s.coherenceNS(int64(len(v.rows)))
-	end := start
-	for r, addr := range v.rows {
-		var lat float64
-		var err error
-		if bit {
-			lat, err = s.rc.InitOne(addr.Bank, addr.Subarray, addr.Row)
-		} else {
-			lat, err = s.rc.InitZero(addr.Bank, addr.Subarray, addr.Row)
-		}
-		if err != nil {
-			s.stats.ElapsedNS = end
-			s.stats.Copies += int64(r)
-			return fmt.Errorf("ambit: Fill: %w", err)
-		}
-		done := s.dev.Bank(addr.Bank).Reserve(start, lat)
-		s.utilRecord(tag, addr.Bank, done, lat)
-		if done > end {
-			end = done
-		}
-	}
-	s.stats.ElapsedNS = end
-	s.stats.Copies += int64(len(v.rows))
-	if observing {
-		s.observeOp(tag, "fill", -1, len(v.rows), opStart, end-opStart, devBefore)
-	}
-	return nil
+	run := getOpRunner(s, runFill, tag)
+	run.dst, run.fill = v, bit
+	return s.runOp(run, v.rows, int64(len(v.rows)), false)
 }
 
 // Popcount counts the set bits of v on the CPU: the vector streams over the
@@ -547,12 +243,11 @@ func (s *System) popcountTagged(tag Tag, v *Bitvector) (int64, error) {
 	var n int64
 	buf := s.rowScratch()
 	for _, addr := range v.rows {
-		if err := s.dev.ReadRowInto(addr, buf); err != nil {
+		c, err := s.popcountRow(addr, buf)
+		if err != nil {
 			return 0, err
 		}
-		for _, w := range buf {
-			n += int64(bits.OnesCount64(w))
-		}
+		n += c
 	}
 	s.chargeChannel(int64(len(v.rows)) * int64(s.dev.Geometry().RowSizeBytes))
 	if observing {

@@ -1,30 +1,41 @@
 package ambit
 
 import (
+	"errors"
+	"fmt"
+	"math/bits"
 	"sync"
 
 	"ambit/internal/controller"
 	"ambit/internal/dram"
+	"ambit/internal/ecc"
 	"ambit/internal/exec"
 	"ambit/internal/obs"
 )
 
-// Pooled per-operation group runners.  The parallel paths (applyParallel,
-// Copy, Fill, majParallel, runFuncParallel) used to hand internal/exec a
-// closure per operation; closures capture, captures allocate, and the
-// direct-op hot path must not.  opRunner is the closure replaced by a pooled
-// struct: one is checked out per operation, carries the operands and the
-// schedule start time, and implements exec.GroupRunner over whole bank
-// groups.  Group-granular dispatch is also what enables the multi-row fused
-// fast path: a bulk group with ECC off batches all of its rows into a
-// single controller.ExecuteOpRowsFused call (ExecuteOpRowsFusedTraced when
-// traced) — one word-parallel pass, one device stats commit, one controller
-// stats lock for the whole bank — with the row-at-a-time body kept as the
-// exact-semantics fallback (ECC, armed fault models, ineligible operands).
+// One executor.  Every row-level execution runs as per-bank, in-order
+// streams through internal/exec: a direct operation is one plan over its
+// rows (runOp with a pooled opRunner), a Batch one plan per epoch over its
+// flattened program (batchStream, batch.go).  Both bodies call the same
+// per-primitive row functions below — bulkRow, fusedBulk, copyRow, fillRow,
+// funcRow, majRow, popcountRow — so each primitive's row semantics exist
+// once.  Under one bank's stream those rows run in ascending order on one
+// goroutine, which is what makes the fault model's per-(bank, subarray) RNG
+// streams, the tracer's per-bank capture shards and the ECC replica rows
+// deterministic at any worker count.
 //
-// Scratch slices (operand address buffers, train lists) come from pools and
-// are claimed per group, never shared across the concurrently running groups
-// of one plan.
+// opRunner is the direct operation's exec.GroupRunner.  Closures capture,
+// captures allocate, and the direct-op hot path must not, so one runner is
+// checked out of a pool per operation and carries the operands and the
+// schedule start time.  Group-granular dispatch is also what enables the
+// multi-row fused fast path: a bulk group with ECC off batches all of its
+// rows into one fused word-parallel pass (fusedBulk), with the row-at-a-time
+// body kept as the exact-semantics fallback (ECC, armed fault models,
+// ineligible operands).
+//
+// Scratch slices (operand address buffers, train lists, row buffers) come
+// from pools and are claimed per group, never shared across the concurrently
+// running groups of one plan.
 
 // runnerKind selects the per-row body an opRunner executes.
 type runnerKind uint8
@@ -37,9 +48,8 @@ const (
 	runMaj
 )
 
-// opRunner executes one operation's bank groups.  Fields are populated by
-// the dispatching operation and cleared on release; the zero start time of a
-// pooled runner is never observed because every dispatch overwrites it.
+// opRunner executes one direct operation's bank groups.  Fields are
+// populated by the dispatching operation and cleared on release.
 type opRunner struct {
 	s     *System
 	kind  runnerKind
@@ -59,9 +69,9 @@ type opRunner struct {
 var opRunnerPool = sync.Pool{New: func() any { return new(opRunner) }}
 
 // getOpRunner checks a runner out of the pool for one operation.
-func getOpRunner(s *System) *opRunner {
+func getOpRunner(s *System, kind runnerKind, tag Tag) *opRunner {
 	r := opRunnerPool.Get().(*opRunner)
-	r.s = s
+	r.s, r.kind, r.tag = s, kind, tag
 	return r
 }
 
@@ -71,215 +81,301 @@ func putOpRunner(r *opRunner) {
 	opRunnerPool.Put(r)
 }
 
-// trainPool recycles the per-group RowTrain scratch of the multi-row fused
-// dispatch.
-var trainPool = sync.Pool{New: func() any { return new([]controller.RowTrain) }}
+// runOp is the dispatch skeleton every direct row-level operation shares.  It
+// snapshots the clock and charges the coherence flush under statsMu, plans
+// the rows (addrs, the destination rows) by bank, locks those banks, opens
+// per-bank trace capture, runs the runner's groups through the execution
+// core, merges the trace, and commits the clock and the op's counters.  The
+// caller holds execMu for reading, or exclusively with serial set: a
+// cross-bank copy reads banks other than its group's, so its groups run one
+// after another on this goroutine.  runOp releases run.
+//
+// A failing row stops only its own bank (per-bank prefix semantics); the
+// rows every bank completed are charged and counted, but the op itself is
+// not.
+func (s *System) runOp(run *opRunner, addrs []dram.PhysAddr, coherenceRows int64, serial bool) error {
+	observing := s.observing()
+	var devBefore dram.Stats
+	s.statsMu.Lock()
+	if observing {
+		devBefore = s.dev.Stats()
+	}
+	opStart := s.stats.ElapsedNS
+	run.start = opStart + s.coherenceNS(coherenceRows)
+	s.statsMu.Unlock()
 
-// rowAddrPool recycles the per-group operand-address scratch of maj and
-// compiled-func groups.
-var rowAddrPool = sync.Pool{New: func() any { return new([]dram.RowAddr) }}
+	plan := s.eng.PlanAddrs(addrs)
+	banks := plan.Banks()
+	s.eng.LockBanks(banks)
+	run.ss = s.cfg.Tracer.BeginShards(banks)
+	var res exec.Result
+	if serial {
+		res = s.eng.RunPlanSerial(plan, run)
+	} else {
+		res = s.eng.RunPlan(plan, run)
+	}
+	run.ss.MergeAndEmit()
+	s.eng.UnlockBanks(banks)
+	plan.Release()
 
-// RunGroup executes one bank group with the prefix/merge semantics
-// internal/exec documents: rows in ascending order, stop at the first
-// failing row, EndNS = max completion time of completed rows.
-func (r *opRunner) RunGroup(bank int, rows []int) exec.GroupResult {
+	end := max(res.EndNS, run.start) // every row failed: the flush still happened
+	s.statsMu.Lock()
+	if end > s.stats.ElapsedNS {
+		s.stats.ElapsedNS = end
+	}
+	switch run.kind {
+	case runCopy, runFill:
+		s.stats.Copies += int64(res.Completed)
+	default:
+		s.stats.RowOps += int64(res.Completed)
+	}
+	if res.Err == nil {
+		switch run.kind {
+		case runBulk:
+			s.stats.BulkOps[run.op]++
+		case runFunc:
+			s.stats.FuncOps++
+		case runMaj:
+			s.stats.MajOps++
+		}
+	} else if errors.Is(res.Err, ErrUncorrectable) {
+		s.stats.UncorrectableRows++
+		if m := s.cfg.Metrics; m != nil {
+			m.Add("uncorrectable_rows", 1)
+		}
+		s.addLabeledNS(run.tag, "uncorrectable_rows", 1)
+	}
+	s.statsMu.Unlock()
+
+	var err error
+	if res.Err != nil {
+		err = run.wrapErr(res)
+	} else if observing {
+		s.observeOp(run.tag, run.name(), -1, len(addrs), opStart, end-opStart, devBefore)
+	}
+	putOpRunner(run)
+	return err
+}
+
+// name is the op's span and metric label.
+func (r *opRunner) name() string {
 	switch r.kind {
 	case runBulk:
-		return r.runBulkGroup(bank, rows)
+		return r.op.String()
 	case runCopy:
-		return r.runCopyGroup(bank, rows)
+		return "copy"
 	case runFill:
-		return r.runFillGroup(bank, rows)
+		return "fill"
 	case runFunc:
-		return r.runFuncGroup(bank, rows)
+		return "func:" + r.f.name
 	default:
-		return r.runMajGroup(bank, rows)
+		return "maj"
 	}
 }
 
-// runBulkGroup runs one bank group of a bulk bitwise op.  Non-ECC groups
-// take the multi-row fused path (traced ones replay each row's events into
-// the bank's shard, keyed by row); ECC groups, and any group the fused
-// dispatch rejects, fall back to the row-at-a-time body, which owns error
-// reporting.
-func (r *opRunner) runBulkGroup(bank int, rows []int) exec.GroupResult {
+// wrapErr renders a failed run's error the way each direct call reports it.
+func (r *opRunner) wrapErr(res exec.Result) error {
+	switch r.kind {
+	case runBulk:
+		return fmt.Errorf("ambit: %v row %d: %w", r.op, res.ErrRow, res.Err)
+	case runCopy:
+		return fmt.Errorf("ambit: Copy row %d: %w", res.ErrRow, res.Err)
+	case runFill:
+		return fmt.Errorf("ambit: Fill: %w", res.Err)
+	case runFunc:
+		return fmt.Errorf("ambit: func %s row %d: %w", r.f.name, res.ErrRow, res.Err)
+	default:
+		return fmt.Errorf("ambit: Maj row %d: %w", res.ErrRow, res.Err)
+	}
+}
+
+// RunGroup executes one bank group with the prefix/merge semantics
+// internal/exec documents: rows in ascending order, stop at the first
+// failing row, EndNS = max completion time of completed rows.  Every row
+// reserves the bank's timeline from the op's start.
+func (r *opRunner) RunGroup(bank int, rows []int) exec.GroupResult {
 	s := r.s
 	res := exec.GroupResult{ErrRow: -1}
-	op := r.op
-	unary := op.Unary()
-	if !r.ecc {
-		tp := trainPool.Get().(*[]controller.RowTrain)
-		trains := (*tp)[:0]
+	bk := s.dev.Bank(bank)
+	if r.kind == runBulk && !r.ecc {
+		tp := getTrains()
 		for _, row := range rows {
-			da := r.dst.rows[row]
-			t := controller.RowTrain{Sub: da.Subarray, DK: da.Row, DI: r.a.rows[row].Row}
-			if !unary {
-				t.DJ = r.b.rows[row].Row
-			}
-			trains = append(trains, t)
+			*tp = append(*tp, bulkTrain(r.op, r.dst, r.a, r.b, row))
 		}
-		var lat float64
-		var ok bool
-		if r.ss != nil {
-			lat, ok = s.ctrl.ExecuteOpRowsFusedTraced(op, bank, trains, r.ss, rows)
-		} else {
-			lat, ok = s.ctrl.ExecuteOpRowsFused(op, bank, trains)
-		}
-		*tp = trains[:0]
-		trainPool.Put(tp)
-		if ok {
-			bk := s.dev.Bank(bank)
+		if lat, ok := s.fusedBulk(r.op, bank, tp, r.ss, rows); ok {
 			for range rows {
 				done := bk.Reserve(r.start, lat)
 				s.utilRecord(r.tag, bank, done, lat)
-				if done > res.EndNS {
-					res.EndNS = done
-				}
+				res.EndNS = max(res.EndNS, done)
 			}
 			res.Completed = len(rows)
 			return res
 		}
 	}
-	for _, row := range rows {
-		r.ss.SetRow(bank, row)
-		da, aa := r.dst.rows[row], r.a.rows[row]
-		var ba dram.RowAddr
-		if !unary {
-			ba = r.b.rows[row].Row
-		}
-		var done float64
-		if r.ecc {
-			rr, err := s.execRowReliable(op, da, aa.Row, ba)
-			s.statsMu.Lock()
-			s.accountReliabilityLocked(r.tag, da, rr)
-			s.statsMu.Unlock()
-			if err != nil {
-				res.Err, res.ErrRow = err, row
-				return res
-			}
-			done = s.dev.Bank(da.Bank).Reserve(r.start, rr.LatencyNS)
-			s.utilRecord(r.tag, da.Bank, done, rr.LatencyNS)
-		} else {
-			var err error
-			done, err = s.scheduleRow(r.tag, op, da, aa.Row, ba, r.start)
-			if err != nil {
-				res.Err, res.ErrRow = err, row
-				return res
-			}
-		}
-		res.Completed++
-		if done > res.EndNS {
-			res.EndNS = done
-		}
+	var bp *[]dram.RowAddr
+	switch r.kind {
+	case runFunc:
+		bp = getRowAddrs(r.f.c.NumInputs + r.f.c.NumOutputs)
+	case runMaj:
+		bp = getRowAddrs(len(r.srcs))
 	}
-	return res
-}
-
-// runCopyGroup runs one bank group of a RowClone copy (src in r.a).
-func (r *opRunner) runCopyGroup(bank int, rows []int) exec.GroupResult {
-	s := r.s
-	res := exec.GroupResult{ErrRow: -1}
 	for _, row := range rows {
 		r.ss.SetRow(bank, row)
-		_, lat, err := s.rc.Copy(r.a.rows[row], r.dst.rows[row])
-		if err != nil {
-			res.Err, res.ErrRow = err, row
-			return res
-		}
-		done := s.dev.Bank(r.dst.rows[row].Bank).Reserve(r.start, lat)
-		s.utilRecord(r.tag, r.dst.rows[row].Bank, done, lat)
-		res.Completed++
-		if done > res.EndNS {
-			res.EndNS = done
-		}
-	}
-	return res
-}
-
-// runFillGroup runs one bank group of a control-row Fill.
-func (r *opRunner) runFillGroup(bank int, rows []int) exec.GroupResult {
-	s := r.s
-	res := exec.GroupResult{ErrRow: -1}
-	for _, row := range rows {
-		r.ss.SetRow(bank, row)
-		addr := r.dst.rows[row]
 		var lat float64
 		var err error
-		if r.fill {
-			lat, err = s.rc.InitOne(addr.Bank, addr.Subarray, addr.Row)
-		} else {
-			lat, err = s.rc.InitZero(addr.Bank, addr.Subarray, addr.Row)
+		switch r.kind {
+		case runBulk:
+			var rr controller.RowResult
+			rr, err = s.bulkRow(r.op, r.ecc, r.dst, r.a, r.b, row)
+			if r.ecc {
+				s.statsMu.Lock()
+				s.accountReliabilityLocked(r.tag, r.dst.rows[row], rr)
+				s.statsMu.Unlock()
+			}
+			lat = rr.LatencyNS
+		case runCopy:
+			lat, err = s.copyRow(r.a.rows[row], r.dst.rows[row])
+		case runFill:
+			lat, err = s.fillRow(r.dst.rows[row], r.fill)
+		case runFunc:
+			lat, err = s.funcRow(r.f, r.dsts, r.srcs, row, *bp)
+		default:
+			lat, err = s.majRow(r.dst, r.srcs, row, *bp)
 		}
-		if err != nil {
-			res.Err, res.ErrRow = err, row
-			return res
-		}
-		done := s.dev.Bank(addr.Bank).Reserve(r.start, lat)
-		s.utilRecord(r.tag, addr.Bank, done, lat)
-		res.Completed++
-		if done > res.EndNS {
-			res.EndNS = done
-		}
-	}
-	return res
-}
-
-// runFuncGroup runs one bank group of a compiled function, reusing one
-// pooled operand buffer for the whole group.
-func (r *opRunner) runFuncGroup(bank int, rows []int) exec.GroupResult {
-	s := r.s
-	res := exec.GroupResult{ErrRow: -1}
-	nOps := r.f.c.NumInputs + r.f.c.NumOutputs
-	bp := rowAddrPool.Get().(*[]dram.RowAddr)
-	buf := *bp
-	if cap(buf) < nOps {
-		buf = make([]dram.RowAddr, nOps)
-	}
-	buf = buf[:nOps]
-	for _, row := range rows {
-		r.ss.SetRow(bank, row)
-		da := fillFuncRow(r.f, r.dsts, r.srcs, row, buf)
-		lat, err := s.ctrl.ExecuteTrain(r.f.c.Train, da.Bank, da.Subarray, buf)
 		if err != nil {
 			res.Err, res.ErrRow = err, row
 			break
 		}
-		done := s.dev.Bank(da.Bank).Reserve(r.start, lat)
-		s.utilRecord(r.tag, da.Bank, done, lat)
+		done := bk.Reserve(r.start, lat)
+		s.utilRecord(r.tag, bank, done, lat)
 		res.Completed++
-		if done > res.EndNS {
-			res.EndNS = done
-		}
+		res.EndNS = max(res.EndNS, done)
 	}
-	*bp = buf
-	rowAddrPool.Put(bp)
+	if bp != nil {
+		rowAddrPool.Put(bp)
+	}
 	return res
 }
 
-// runMajGroup runs one bank group of a many-row majority, reusing one
-// pooled source-address buffer for the whole group.
-func (r *opRunner) runMajGroup(bank int, rows []int) exec.GroupResult {
-	s := r.s
-	res := exec.GroupResult{ErrRow: -1}
+// trainPool recycles the per-group RowTrain scratch of the multi-row fused
+// dispatch.
+var trainPool = sync.Pool{New: func() any { return new([]controller.RowTrain) }}
+
+// getTrains claims an empty train list; fusedBulk returns it.
+func getTrains() *[]controller.RowTrain {
+	tp := trainPool.Get().(*[]controller.RowTrain)
+	*tp = (*tp)[:0]
+	return tp
+}
+
+// rowAddrPool recycles the per-group operand-address scratch of maj and
+// compiled-func rows.
+var rowAddrPool = sync.Pool{New: func() any { return new([]dram.RowAddr) }}
+
+// getRowAddrs claims an operand-address buffer of length n.
+func getRowAddrs(n int) *[]dram.RowAddr {
 	bp := rowAddrPool.Get().(*[]dram.RowAddr)
-	buf := *bp
-	for _, row := range rows {
-		r.ss.SetRow(bank, row)
-		da, srcRows := majRowAddrs(r.dst, r.srcs, row, buf)
-		buf = srcRows // keep any growth for the next row
-		lat, err := s.ctrl.ExecuteMaj(da.Bank, da.Subarray, da.Row, srcRows, s.majScratchBase, s.majW)
-		if err != nil {
-			res.Err, res.ErrRow = err, row
-			break
-		}
-		done := s.dev.Bank(da.Bank).Reserve(r.start, lat)
-		s.utilRecord(r.tag, da.Bank, done, lat)
-		res.Completed++
-		if done > res.EndNS {
-			res.EndNS = done
-		}
+	if cap(*bp) < n {
+		*bp = make([]dram.RowAddr, n)
 	}
-	*bp = buf[:0]
-	rowAddrPool.Put(bp)
-	return res
+	*bp = (*bp)[:n]
+	return bp
+}
+
+// rowBufPool recycles full-row word buffers for popcount rows.
+var rowBufPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// bulkTrain is row r of dst = op(a[, b]) as one fused-evaluation train.
+func bulkTrain(op controller.Op, dst, a, b *Bitvector, r int) controller.RowTrain {
+	da := dst.rows[r]
+	t := controller.RowTrain{Sub: da.Subarray, DK: da.Row, DI: a.rows[r].Row}
+	if !op.Unary() {
+		t.DJ = b.rows[r].Row
+	}
+	return t
+}
+
+// fusedBulk evaluates a run of same-opcode trains on one bank in a single
+// word-parallel pass and returns the per-train latency.  When traced, each
+// train's command events are replayed into the bank's capture shard under
+// the matching entry of keys.  ok is false when the fused dispatch rejects
+// the run (raised amplifiers, an armed fault injector); nothing has executed
+// then, and the caller runs the trains stepwise.  The train list goes back
+// to its pool.
+func (s *System) fusedBulk(op controller.Op, bank int, tp *[]controller.RowTrain, ss *obs.ShardSet, keys []int) (lat float64, ok bool) {
+	if ss != nil {
+		lat, ok = s.ctrl.ExecuteOpRowsFusedTraced(op, bank, *tp, ss, keys)
+	} else {
+		lat, ok = s.ctrl.ExecuteOpRowsFused(op, bank, *tp)
+	}
+	trainPool.Put(tp)
+	return lat, ok
+}
+
+// bulkRow executes row r of dst = op(a[, b]) as one stepwise command train,
+// or, with tmr, under the TMR execute-verify-retry policy (DESIGN.md
+// "Reliability model"), using the two reserved per-subarray scratch rows as
+// replica space and internal/ecc's majority vote as the decoder.
+func (s *System) bulkRow(op controller.Op, tmr bool, dst, a, b *Bitvector, r int) (controller.RowResult, error) {
+	da, aRow := dst.rows[r], a.rows[r].Row
+	var bRow dram.RowAddr
+	if !op.Unary() {
+		bRow = b.rows[r].Row
+	}
+	if tmr {
+		s1, s2 := s.scratchRows()
+		return s.ctrl.ExecuteOpReliable(op, da.Bank, da.Subarray, da.Row, aRow, bRow, s1, s2, s.cfg.Reliability, ecc.VoteRows)
+	}
+	lat, err := s.ctrl.ExecuteOp(op, da.Bank, da.Subarray, da.Row, aRow, bRow)
+	return controller.RowResult{LatencyNS: lat}, err
+}
+
+// copyRow copies one row with RowClone: FPM within a subarray, PSM across
+// subarrays or banks.
+func (s *System) copyRow(src, dst dram.PhysAddr) (float64, error) {
+	_, lat, err := s.rc.Copy(src, dst)
+	return lat, err
+}
+
+// fillRow initializes one row from the all-zeros or all-ones control row.
+func (s *System) fillRow(addr dram.PhysAddr, bit bool) (float64, error) {
+	if bit {
+		return s.rc.InitOne(addr.Bank, addr.Subarray, addr.Row)
+	}
+	return s.rc.InitZero(addr.Bank, addr.Subarray, addr.Row)
+}
+
+// funcRow executes row r of a compiled function's train; buf holds
+// NumInputs+NumOutputs operand addresses of scratch.
+func (s *System) funcRow(f *Func, dsts, srcs []*Bitvector, r int, buf []dram.RowAddr) (float64, error) {
+	for i, src := range srcs {
+		buf[i] = src.rows[r].Row
+	}
+	for j, d := range dsts {
+		buf[f.c.NumInputs+j] = d.rows[r].Row
+	}
+	da := dsts[0].rows[r]
+	return s.ctrl.ExecuteTrain(f.c.Train, da.Bank, da.Subarray, buf)
+}
+
+// majRow executes row r of dst = MAJ(srcs...) as one many-row activation;
+// buf holds len(srcs) addresses of scratch.
+func (s *System) majRow(dst *Bitvector, srcs []*Bitvector, r int, buf []dram.RowAddr) (float64, error) {
+	for i, a := range srcs {
+		buf[i] = a.rows[r].Row
+	}
+	da := dst.rows[r]
+	return s.ctrl.ExecuteMaj(da.Bank, da.Subarray, da.Row, buf, s.majScratchBase, s.majW)
+}
+
+// popcountRow streams one row into buf and counts its set bits.
+func (s *System) popcountRow(addr dram.PhysAddr, buf []uint64) (int64, error) {
+	if err := s.dev.ReadRowInto(addr, buf); err != nil {
+		return 0, err
+	}
+	var n int64
+	for _, w := range buf {
+		n += int64(bits.OnesCount64(w))
+	}
+	return n, nil
 }

@@ -2,13 +2,12 @@ package ambit
 
 // Scenario conformance suite: measured-silicon fault profiles driven through
 // the full stack.  The central guarantee under test is that an armed fault
-// model is no longer a reason to serialize — per-(bank, subarray) fault
-// streams make the faulted parallel path bit-identical to the faulted serial
-// path at any worker count.
+// model is no reason to serialize — per-(bank, subarray) fault streams make
+// faulted runs bit-identical to the frozen serial reference
+// (testdata/serial_ref.json) at any worker count.
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"ambit/internal/dram"
@@ -95,44 +94,16 @@ func faultedWorkload(t *testing.T, sys *System) [][]uint64 {
 	return out
 }
 
-// runFaulted builds a faulted System from opts, applies the worker setting,
-// runs the workload, and snapshots data plus stats.
-func runFaulted(t *testing.T, workers int, serial bool, opts ...Option) ([][]uint64, Stats) {
-	t.Helper()
-	sys, err := New(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if workers > 0 {
-		sys.eng.SetWorkers(workers)
-	}
-	sys.forceSerial = serial
-	data := faultedWorkload(t, sys)
-	return data, sys.Stats()
-}
-
 // TestFaultedParallelMatchesSerial is the headline differential: with a
 // measured-silicon profile armed (temperature scaling, pattern bias, weak
-// subarrays, quarantine), the parallel path must produce bit-identical
-// vectors and identical statistics to the serial exclusive path at 1, 2, and
-// 8 workers.  The pre-profile design forced faulted runs serial; this test
-// is the license for removing that fallback.
+// subarrays, quarantine), every run must produce bit-identical vectors and
+// identical statistics to the frozen serial reference at 1, 2, and 8
+// workers.  The pre-profile design forced faulted runs serial; this test is
+// the license for removing that fallback.
 func TestFaultedParallelMatchesSerial(t *testing.T) {
-	opts := func(t *testing.T) []Option {
-		return []Option{WithFaultProfile(vendorProfile(t)), WithManyRowMaj(5)}
-	}
-	wantData, wantStats := runFaulted(t, 0, true, opts(t)...)
-	if wantStats.InjectedFaults == 0 {
+	want := checkSerialRef(t, "faulted/profile", 1, 2, 8)
+	if want.Stats.InjectedFaults == 0 {
 		t.Fatal("workload drew no faults; the differential is vacuous")
-	}
-	for _, workers := range []int{1, 2, 8} {
-		gotData, gotStats := runFaulted(t, workers, false, opts(t)...)
-		if !reflect.DeepEqual(gotData, wantData) {
-			t.Errorf("workers=%d: faulted data diverged from serial", workers)
-		}
-		if !reflect.DeepEqual(gotStats, wantStats) {
-			t.Errorf("workers=%d: faulted stats diverged:\n got %+v\nwant %+v", workers, gotStats, wantStats)
-		}
 	}
 }
 
@@ -140,27 +111,11 @@ func TestFaultedParallelMatchesSerial(t *testing.T) {
 // route (WithFaultModel, no profile): same differential, including under
 // ECC, whose retries themselves consume fault-stream draws.
 func TestFaultedPlainConfigParallelMatchesSerial(t *testing.T) {
-	fc := FaultConfig{TRABitRate: 1e-3, TRARowRate: 2e-3, DCCBitRate: 5e-4, RowVariation: 1.3, WeakColumnFraction: 0.05, Seed: 7}
-	for _, ecc := range []bool{false, true} {
-		name := "plain"
-		opts := []Option{WithFaultModel(fc), WithManyRowMaj(3)}
-		if ecc {
-			name = "plain+ecc"
-			opts = append(opts, WithReliability(Reliability{ECC: true, MaxRetries: 4}))
-		}
+	for _, name := range []string{"plain", "plain+ecc"} {
 		t.Run(name, func(t *testing.T) {
-			wantData, wantStats := runFaulted(t, 0, true, opts...)
-			if wantStats.InjectedFaults == 0 {
+			want := checkSerialRef(t, "faulted/"+name, 1, 2, 8)
+			if want.Stats.InjectedFaults == 0 {
 				t.Fatal("workload drew no faults; the differential is vacuous")
-			}
-			for _, workers := range []int{1, 2, 8} {
-				gotData, gotStats := runFaulted(t, workers, false, opts...)
-				if !reflect.DeepEqual(gotData, wantData) {
-					t.Errorf("workers=%d: faulted data diverged from serial", workers)
-				}
-				if !reflect.DeepEqual(gotStats, wantStats) {
-					t.Errorf("workers=%d: faulted stats diverged:\n got %+v\nwant %+v", workers, gotStats, wantStats)
-				}
 			}
 		})
 	}
