@@ -5,9 +5,10 @@ package main
 // operations through the public API, across operation types and row counts
 // (rows spread across banks by the allocator), plus a host-I/O grid covering
 // the staged (ReadInto/Write) and zero-copy (ViewWords/SetWords) data paths,
-// and writes a JSON report.  `-maxprocs 1,4` repeats the grid once per
-// GOMAXPROCS setting, tagging each result, and `-cpuprofile out.pprof`
-// captures a CPU profile of the whole run.  `ambitbench -compare old.json
+// plus compiled-function rows (Func.Run of CompileLess(4)), and writes a JSON
+// report.  `-maxprocs 1,4` repeats the grid once per GOMAXPROCS setting,
+// tagging each result, and `-cpuprofile out.pprof` captures a CPU profile of
+// the whole run.  `ambitbench -compare old.json
 // new.json` diffs two such reports — the benchstat-style step CI runs on the
 // committed BENCH_*.json trajectory; results are keyed name@gomaxprocs so
 // single-core and multi-core measurements compare independently.
@@ -82,6 +83,11 @@ var (
 	hostIORowCounts = []int{8, 64}
 )
 
+// funcRowCounts defines the compiled-function grid: Func.Run of
+// CompileLess(4), the bitmap-index range predicate, at one row per bank and
+// at sixteen.
+var funcRowCounts = []int{8, 128}
+
 // benchSetup allocates and loads three co-located vectors of `rows` DRAM rows.
 func benchSetup(rows int) (*ambit.System, *ambit.Bitvector, *ambit.Bitvector, *ambit.Bitvector, error) {
 	sys, err := ambit.New()
@@ -137,9 +143,14 @@ func hostIOName(path string, rows int) string {
 	return fmt.Sprintf("HostIO/%s-rows%d", path, rows)
 }
 
+// funcName names one compiled-function grid benchmark.
+func funcName(rows int) string {
+	return fmt.Sprintf("Func/less4-rows%d", rows)
+}
+
 // benchGridNames returns every -json grid benchmark name in run order.
 func benchGridNames() []string {
-	names := make([]string, 0, len(benchRowCounts)*len(benchOps)+len(hostIORowCounts)*len(hostIOPaths))
+	names := make([]string, 0, len(benchRowCounts)*len(benchOps)+len(hostIORowCounts)*len(hostIOPaths)+len(funcRowCounts))
 	for _, rows := range benchRowCounts {
 		for _, op := range benchOps {
 			names = append(names, benchName(op, rows))
@@ -149,6 +160,9 @@ func benchGridNames() []string {
 		for _, path := range hostIOPaths {
 			names = append(names, hostIOName(path, rows))
 		}
+	}
+	for _, rows := range funcRowCounts {
+		names = append(names, funcName(rows))
 	}
 	return names
 }
@@ -284,6 +298,70 @@ func runHostIOGrid(rep *BenchReport, match func(string) bool) error {
 	return nil
 }
 
+// runFuncGrid measures the compiled-function grid: Func.Run of
+// CompileLess(4) over random operands, whose bytes are the output rows.
+func runFuncGrid(rep *BenchReport, match func(string) bool) error {
+	for _, rows := range funcRowCounts {
+		if !match(funcName(rows)) {
+			continue
+		}
+		sys, err := ambit.New()
+		if err != nil {
+			return err
+		}
+		f, err := sys.CompileLess(4)
+		if err != nil {
+			return err
+		}
+		bits := int64(rows) * int64(sys.RowSizeBits())
+		rng := rand.New(rand.NewSource(1))
+		srcs := make([]*ambit.Bitvector, f.NumInputs())
+		for i := range srcs {
+			if srcs[i], err = sys.Alloc(bits); err != nil {
+				return err
+			}
+			w := make([]uint64, srcs[i].WordCount())
+			for k := range w {
+				w[k] = rng.Uint64()
+			}
+			if err := srcs[i].Write(w, ambit.Backdoor()); err != nil {
+				return err
+			}
+		}
+		d, err := sys.Alloc(bits)
+		if err != nil {
+			return err
+		}
+		// Simulated latency of one call on an otherwise idle device.
+		before := sys.ElapsedNS()
+		if err := f.Run(d, srcs...); err != nil {
+			return err
+		}
+		simNS := sys.ElapsedNS() - before
+		bytes := int64(rows) * int64(sys.Config().DRAM.Geometry.RowSizeBytes)
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(bytes)
+			for i := 0; i < b.N; i++ {
+				if err := f.Run(d, srcs...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		appendResult(rep, BenchResult{
+			Name:        funcName(rows),
+			Op:          f.Name(),
+			Rows:        rows,
+			Banks:       distinctBanks(d),
+			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			AllocsPerOp: float64(r.AllocsPerOp()),
+			BytesPerOp:  float64(r.AllocedBytesPerOp()),
+			SimNS:       simNS,
+		}, bytes)
+	}
+	return nil
+}
+
 // runBenchJSON measures the grid once per GOMAXPROCS setting in procs and
 // writes the combined report to path.  A non-empty filter is a regexp over
 // grid names; a filter matching no benchmark is an error so a typo cannot
@@ -339,6 +417,9 @@ func runBenchJSON(path, filter string, procs []int, cpuProfile string) error {
 			return err
 		}
 		if err := runHostIOGrid(&rep, match); err != nil {
+			return err
+		}
+		if err := runFuncGrid(&rep, match); err != nil {
 			return err
 		}
 	}

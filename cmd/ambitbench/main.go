@@ -8,7 +8,7 @@
 //	ambitbench                  # run every experiment
 //	ambitbench fig9 table3      # run selected experiments
 //	ambitbench -iterations 100000 table2
-//	ambitbench -json out.json   # machine-readable direct-op benchmark report
+//	ambitbench -json out.json   # machine-readable benchmark report (direct ops, host I/O, Func.Run)
 //	ambitbench -json out.json -run 'xor'   # only grid entries matching a regexp
 //	ambitbench -compare BENCH_baseline.json BENCH_pr4.json
 //

@@ -426,48 +426,104 @@ func TestPopcountVertical(t *testing.T) {
 	}
 }
 
-// TestFuncRunAllocsPerRow guards the fused fast path: scheduling compiled
-// trains must not allocate per row (per-call overhead is amortized across a
-// 64-row operand, so the per-row budget rounds to zero).
+// TestFuncRunAllocsPerRow guards the fused fast path: once warm, a compiled
+// function allocates nothing per row — a 64-row Run allocates exactly as
+// often as an 8-row Run — for a three-gate function and for CompileLess(4),
+// whose net-effect program needs several scratch slots per bank.
 func TestFuncRunAllocsPerRow(t *testing.T) {
-	sys := compileTestSystem(t)
-	f, err := sys.Compile("mix", Or(And(Var(0), Var(1)), Xor(Var(1), Var(2))))
+	if raceEnabled {
+		t.Skip("race runtime allocates; zero-allocation gates run without -race")
+	}
+	sys, err := New(WithDRAM(DRAMConfig{
+		Geometry: dram.Geometry{Banks: 4, SubarraysPerBank: 2, RowsPerSubarray: 256, RowSizeBytes: 64},
+		Timing:   dram.DDR3_1600(),
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := 64
-	bits := int64(rows * sys.RowSizeBits())
-	d := sys.MustAlloc(bits)
-	srcs := []*Bitvector{sys.MustAlloc(bits), sys.MustAlloc(bits), sys.MustAlloc(bits)}
-	run := func() {
-		if err := f.Run(d, srcs...); err != nil {
-			t.Fatal(err)
-		}
+	mix, err := sys.Compile("mix", Or(And(Var(0), Var(1)), Xor(Var(1), Var(2))))
+	if err != nil {
+		t.Fatal(err)
 	}
-	run() // warm the engine and bank timelines
-	perOp := testing.AllocsPerRun(10, run)
-	if perRow := perOp / float64(rows); perRow >= 1 {
-		t.Errorf("scheduling allocates %.1f/row (%.0f per op over %d rows), want amortized zero",
-			perRow, perOp, rows)
+	less, err := sys.CompileLess(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*Func{mix, less} {
+		allocsAt := func(rows int) float64 {
+			bits := int64(rows * sys.RowSizeBits())
+			d := sys.MustAlloc(bits)
+			srcs := make([]*Bitvector, f.NumInputs())
+			for i := range srcs {
+				srcs[i] = sys.MustAlloc(bits)
+			}
+			run := func() {
+				if err := f.Run(d, srcs...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 20; i++ {
+				run() // warm the engine, bank timelines and scratch
+			}
+			return testing.AllocsPerRun(100, run)
+		}
+		if small, large := allocsAt(8), allocsAt(64); small != large {
+			t.Errorf("%s: %v allocs at 8 rows, %v at 64 rows, want equal (0/row)", f.Name(), small, large)
+		}
 	}
 }
 
 // BenchmarkFuncRun measures the compiled-function hot path end to end
 // (parallel scheduling, untraced); allocs/op stays flat as rows grow.
+// mix-rows64 runs a three-gate function on the small test geometry;
+// less4-rows128 runs CompileLess(4) over 128 rows of the default 8 KiB
+// geometry, the range predicate of the bitmap-index workloads.
 func BenchmarkFuncRun(b *testing.B) {
-	sys := compileTestSystem(b)
-	f, err := sys.Compile("mix", Or(And(Var(0), Var(1)), Xor(Var(1), Var(2))))
-	if err != nil {
-		b.Fatal(err)
+	cases := []struct {
+		name    string
+		rows    int
+		sys     func() *System
+		compile func(*System) (*Func, error)
+	}{
+		{"mix-rows64", 64, func() *System { return compileTestSystem(b) }, func(s *System) (*Func, error) {
+			return s.Compile("mix", Or(And(Var(0), Var(1)), Xor(Var(1), Var(2))))
+		}},
+		{"less4-rows128", 128, func() *System {
+			s, err := New()
+			if err != nil {
+				b.Fatal(err)
+			}
+			return s
+		}, func(s *System) (*Func, error) { return s.CompileLess(4) }},
 	}
-	bits := int64(64 * sys.RowSizeBits())
-	d := sys.MustAlloc(bits)
-	srcs := []*Bitvector{sys.MustAlloc(bits), sys.MustAlloc(bits), sys.MustAlloc(bits)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.Run(d, srcs...); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			sys := tc.sys()
+			f, err := tc.compile(sys)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bits := int64(tc.rows * sys.RowSizeBits())
+			d := sys.MustAlloc(bits)
+			srcs := make([]*Bitvector, f.NumInputs())
+			rng := rand.New(rand.NewSource(1))
+			for i := range srcs {
+				srcs[i] = sys.MustAlloc(bits)
+				w := make([]uint64, srcs[i].WordCount())
+				for k := range w {
+					w[k] = rng.Uint64()
+				}
+				if err := srcs[i].Write(w, Backdoor()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := f.Run(d, srcs...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package compile
 
 import (
 	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -15,7 +16,13 @@ var update = flag.Bool("update", false, "rewrite golden listings in testdata")
 
 func testController(t *testing.T) *controller.Controller {
 	t.Helper()
-	g := dram.Geometry{Banks: 1, SubarraysPerBank: 1, RowsPerSubarray: 64, RowSizeBytes: 64}
+	return testControllerRows(t, 64)
+}
+
+// testControllerRows is testController with rowBytes-byte rows.
+func testControllerRows(t *testing.T, rowBytes int) *controller.Controller {
+	t.Helper()
+	g := dram.Geometry{Banks: 1, SubarraysPerBank: 1, RowsPerSubarray: 64, RowSizeBytes: rowBytes}
 	d, err := dram.NewDevice(dram.Config{Geometry: g, Timing: dram.DDR3_1600()})
 	if err != nil {
 		t.Fatal(err)
@@ -60,82 +67,142 @@ func runCompiled(t *testing.T, ctl *controller.Controller, c *Compiled, inputs [
 	return outs, lat
 }
 
-// TestCompiledTrainsMatchEval is the differential property test: random
-// expression DAGs are compiled to trains and executed in-DRAM on both the
-// fused and the step-by-step path, and every output word must match the
-// pure-Go reference evaluator; source rows must survive unchanged.
+// compiledDiffRowBytes are the row sizes of the compiled-train differential:
+// one evaluation block of the fused evaluator, whole blocks, and a partial
+// last block.
+var compiledDiffRowBytes = []int{64, 8 << 10, 8000}
+
+// sameState fails unless the fused and stepwise controllers agree on every
+// cell of their subarray — all data rows, T0–T3, DCC0 and DCC1 — and on
+// controller and device stats.
+func sameState(t *testing.T, label string, fused, stepwise *controller.Controller) {
+	t.Helper()
+	if fused.Stats() != stepwise.Stats() {
+		t.Fatalf("%s: controller stats diverge:\n fused %+v\n  step %+v", label, fused.Stats(), stepwise.Stats())
+	}
+	if fused.Device().Stats() != stepwise.Device().Stats() {
+		t.Fatalf("%s: device stats diverge:\n fused %+v\n  step %+v", label, fused.Device().Stats(), stepwise.Device().Stats())
+	}
+	saF, saS := fused.Device().Bank(0).Subarray(0), stepwise.Device().Bank(0).Subarray(0)
+	wls := []dram.Wordline{
+		{Kind: dram.WLT, Index: 0}, {Kind: dram.WLT, Index: 1}, {Kind: dram.WLT, Index: 2}, {Kind: dram.WLT, Index: 3},
+		{Kind: dram.WLDCCData, Index: 0}, {Kind: dram.WLDCCData, Index: 1},
+	}
+	for i := 0; i < fused.Device().Geometry().DataRows(); i++ {
+		wls = append(wls, dram.Wordline{Kind: dram.WLData, Index: i})
+	}
+	for _, wl := range wls {
+		got, want := saF.PeekWordline(wl), saS.PeekWordline(wl)
+		for w := range got {
+			if got[w] != want[w] {
+				t.Fatalf("%s: %v word %d: fused %016x, stepwise %016x", label, wl, w, got[w], want[w])
+			}
+		}
+	}
+}
+
+// TestCompiledTrainsMatchEval is the differential property test: compiled
+// trains — Less(4), Equal(3), the full adder, and random expression DAGs —
+// are executed in-DRAM on both the fused and the step-by-step path at several
+// row sizes.  Every output word must match the pure-Go reference evaluator,
+// source rows must survive unchanged, and after every train the two paths
+// must agree on latency, stats, and the full subarray state.
 func TestCompiledTrainsMatchEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(1701))
-	fused := testController(t)
-	stepwise := testController(t)
-	stepwise.Device().SetFaultInjector(nilInjector{})
+	sum, carry := FullAdder(Var(0), Var(1), Var(2))
+	named := []struct {
+		name  string
+		exprs []*Expr
+	}{
+		{"lt4", []*Expr{Less(4)}},
+		{"eq3", []*Expr{Equal(3)}},
+		{"fulladder", []*Expr{sum, carry}},
+	}
+	for _, rowBytes := range compiledDiffRowBytes {
+		t.Run(fmt.Sprintf("row%dB", rowBytes), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1701))
+			fused := testControllerRows(t, rowBytes)
+			stepwise := testControllerRows(t, rowBytes)
+			stepwise.Device().SetFaultInjector(nilInjector{})
+			words := fused.Device().Geometry().WordsPerRow()
 
-	words := fused.Device().Geometry().WordsPerRow()
-	compiled, spilled := 0, 0
-	for trial := 0; compiled < 250; trial++ {
-		nOut := 1 + rng.Intn(3)
-		exprs := make([]*Expr, nOut)
-		for j := range exprs {
-			exprs[j] = randomExpr(rng, 3, 5)
-		}
-		c, err := CompileFn("rand", exprs...)
-		if err != nil {
-			if _, ok := err.(*SpillError); !ok {
-				t.Fatalf("trial %d: %v (exprs %v)", trial, err, exprs)
+			check := func(label string, exprs []*Expr, c *Compiled) {
+				t.Helper()
+				inputs := make([][]uint64, c.NumInputs)
+				for i := range inputs {
+					inputs[i] = randRow(rng, words)
+				}
+				gotF, latF := runCompiled(t, fused, c, inputs)
+				gotS, latS := runCompiled(t, stepwise, c, inputs)
+				if latF != latS {
+					t.Errorf("%s: fused latency %v != stepwise %v", label, latF, latS)
+				}
+				vars := make([]uint64, c.NumInputs)
+				for w := 0; w < words; w++ {
+					for i := range vars {
+						vars[i] = inputs[i][w]
+					}
+					want := EvalAll(exprs, vars)
+					for j := range exprs {
+						if gotF[j][w] != want[j] {
+							t.Fatalf("%s out %d word %d: fused %016x, reference %016x\nexpr: %v\ntrain:\n%s",
+								label, j, w, gotF[j][w], want[j], exprs[j], c.Listing())
+						}
+						if gotS[j][w] != want[j] {
+							t.Fatalf("%s out %d word %d: stepwise %016x, reference %016x\nexpr: %v\ntrain:\n%s",
+								label, j, w, gotS[j][w], want[j], exprs[j], c.Listing())
+						}
+					}
+				}
+				// Source rows must be intact after both paths.
+				for i, in := range inputs {
+					got, err := fused.Device().PeekRow(dram.PhysAddr{Row: dram.D(i)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for w := range got {
+						if got[w] != in[w] {
+							t.Fatalf("%s: input row %d corrupted (word %d: %016x != %016x)",
+								label, i, w, got[w], in[w])
+						}
+					}
+				}
+				sameState(t, label, fused, stepwise)
 			}
-			spilled++
-			continue
-		}
-		compiled++
 
-		inputs := make([][]uint64, c.NumInputs)
-		for i := range inputs {
-			inputs[i] = randRow(rng, words)
-		}
-		gotF, latF := runCompiled(t, fused, c, inputs)
-		gotS, latS := runCompiled(t, stepwise, c, inputs)
-		if latF != latS {
-			t.Errorf("trial %d: fused latency %v != stepwise %v", trial, latF, latS)
-		}
-		for w := 0; w < words; w++ {
-			vars := make([]uint64, c.NumInputs)
-			for i := range vars {
-				vars[i] = inputs[i][w]
-			}
-			want := EvalAll(exprs, vars)
-			for j := range exprs {
-				if gotF[j][w] != want[j] {
-					t.Fatalf("trial %d out %d word %d: fused %016x, reference %016x\nexpr: %v\ntrain:\n%s",
-						trial, j, w, gotF[j][w], want[j], exprs[j], c.Listing())
-				}
-				if gotS[j][w] != want[j] {
-					t.Fatalf("trial %d out %d word %d: stepwise %016x, reference %016x\nexpr: %v\ntrain:\n%s",
-						trial, j, w, gotS[j][w], want[j], exprs[j], c.Listing())
-				}
-			}
-		}
-		// Source rows must be intact after both paths.
-		for _, ctl := range []*controller.Controller{fused, stepwise} {
-			for i, in := range inputs {
-				got, err := ctl.Device().PeekRow(dram.PhysAddr{Row: dram.D(i)})
+			for _, nf := range named {
+				c, err := CompileFn(nf.name, nf.exprs...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for w := range got {
-					if got[w] != in[w] {
-						t.Fatalf("trial %d: input row %d corrupted (word %d: %016x != %016x)",
-							trial, i, w, got[w], in[w])
-					}
-				}
+				check(nf.name, nf.exprs, c)
 			}
-		}
-	}
-	t.Logf("%d functions compiled, %d spilled", compiled, spilled)
-	if st := fused.Stats(); st.Trains != int64(compiled) {
-		t.Errorf("fused controller counted %d trains, want %d", st.Trains, compiled)
-	}
-	if st := stepwise.Stats(); st.Trains != int64(compiled) {
-		t.Errorf("stepwise controller counted %d trains, want %d", st.Trains, compiled)
+			compiled, spilled := 0, 0
+			for trial := 0; compiled < 250; trial++ {
+				nOut := 1 + rng.Intn(3)
+				exprs := make([]*Expr, nOut)
+				for j := range exprs {
+					exprs[j] = randomExpr(rng, 3, 5)
+				}
+				c, err := CompileFn("rand", exprs...)
+				if err != nil {
+					if _, ok := err.(*SpillError); !ok {
+						t.Fatalf("trial %d: %v (exprs %v)", trial, err, exprs)
+					}
+					spilled++
+					continue
+				}
+				compiled++
+				check(fmt.Sprintf("trial %d", trial), exprs, c)
+			}
+			t.Logf("%d functions compiled, %d spilled", compiled, spilled)
+			want := int64(compiled + len(named))
+			if st := fused.Stats(); st.Trains != want {
+				t.Errorf("fused controller counted %d trains, want %d", st.Trains, want)
+			}
+			if st := stepwise.Stats(); st.Trains != want {
+				t.Errorf("stepwise controller counted %d trains, want %d", st.Trains, want)
+			}
+		})
 	}
 }
 

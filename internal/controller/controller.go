@@ -52,6 +52,9 @@ type Controller struct {
 	// fused run).
 	noFuse bool
 
+	// scratch holds each bank's net-effect program scratch (netprog.go).
+	scratch []netScratch
+
 	mu    sync.Mutex // guards stats
 	stats Stats
 }
@@ -91,7 +94,7 @@ func (c *Controller) stepEnergyNJ(kind StepKind, a1, a2 dram.RowAddr) float64 {
 // New creates a controller over dev with the split decoder enabled (the
 // paper's design point).
 func New(dev *dram.Device) *Controller {
-	return &Controller{dev: dev, SplitDecoder: true}
+	return &Controller{dev: dev, SplitDecoder: true, scratch: make([]netScratch, dev.Geometry().Banks)}
 }
 
 // Device returns the underlying device.
